@@ -57,7 +57,6 @@ from .pipeline import (
     components,
     count,
     count_formula,
-    cross_validate,
     kernel_by_solve,
     run_suite,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "count",
     "count_formula",
     "counting_row",
-    "cross_validate",
     "det_bareiss",
     "det_dodgson",
     "dot",

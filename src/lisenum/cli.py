@@ -57,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON report here")
     p_verify.add_argument("--grid", type=str, default=None,
                           help="JSON file with explicit parameter ranges")
-    p_verify.add_argument("--threads", type=int, default=1,
-                          help="parallelism bound (current engines are "
-                               "deterministic and single threaded)")
     return parser
 
 
@@ -85,8 +82,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     grid = None
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as handle:

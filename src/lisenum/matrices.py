@@ -63,9 +63,6 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
-
     def to_json(self) -> list[list[str]]:
         return [[scalar_str(x) for x in row] for row in self.entries]
 

@@ -6,10 +6,6 @@ Four independent routes produce the same numbers:
 * ``oracle``     brute-force enumeration,
 * ``kernel``     the column recursion seeded by the solved kernel,
 * ``cramer``     column-replacement determinant solves at size n.
-
-``cross_validate`` runs every route against every other on a grid,
-together with the determinant, bijection and identity suites, and
-returns a deterministic report.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from .matrices import (
     solve_cramer,
     transfer_matrix,
 )
-from .report import CheckResult, VerificationReport, failed, passed, skipped
+from .report import PASS, CheckResult, VerificationReport, expect, failed, passed, skipped
 
 COUNT_METHODS = ("formula", "oracle", "kernel", "cramer")
 COMPONENT_METHODS = ("recursion", "transfer_matrix", "cramer", "oracle")
@@ -135,7 +131,7 @@ def count(n: int, k: int, method: str = "formula") -> int:
     oracle.check_size(n, k)
     if method == "formula":
         return count_formula(n, k)
-    if method in ("kernel", "kernel_recursion"):
+    if method == "kernel":
         return sum(components(n, k, "recursion"))
     if method == "oracle":
         return sum(components(n, k, "oracle"))
@@ -242,45 +238,30 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
     results = []
     for k in range(k_max + 1):
         for n in range(2 * k, n_max + 1):
-            name = f"components-agree k={k} n={n}"
             recursion = components(n, k, "recursion")
-            transfer = components(n, k, "transfer_matrix")
-            cramer = components(n, k, "cramer")
-            if not recursion == transfer == cramer:
-                results.append(
-                    failed(
-                        name,
-                        f"recursion={recursion} transfer={transfer} cramer={cramer}",
-                        group="counts",
-                    )
-                )
+            agree = expect(
+                f"components-agree k={k} n={n}",
+                (recursion, components(n, k, "transfer_matrix"), components(n, k, "cramer")),
+                (recursion,) * 3,
+                "counts",
+                "recursion={got[0]} transfer={got[1]} cramer={got[2]}",
+            )
+            results.append(agree)
+            if agree.status != PASS:
                 continue
-            results.append(passed(name, group="counts"))
-            total = sum(recursion)
-            fname = f"count-formula-match k={k} n={n}"
             expected = count_formula(n, k)
-            if total == expected:
-                results.append(passed(fname, group="counts"))
-            else:
-                results.append(
-                    failed(fname, f"components sum {total}, formula {expected}", group="counts")
-                )
+            results.append(expect(
+                f"count-formula-match k={k} n={n}", sum(recursion), expected, "counts",
+                "components sum {got}, formula {want}",
+            ))
             lname = f"last-component k={k} n={n}"
-            if recursion[-1] == factorial(k):
-                results.append(passed(lname, group="counts"))
-            else:
-                results.append(
-                    failed(lname, f"got {recursion[-1]}, expected {factorial(k)}", group="counts")
-                )
+            results.append(expect(lname, recursion[-1], factorial(k), "counts"))
             oname = f"oracle-agree k={k} n={n}"
             if _oracle_allowed(n, k, budget):
-                brute = oracle.component_counts(n, k)
-                if brute == recursion:
-                    results.append(passed(oname, group="counts"))
-                else:
-                    results.append(
-                        failed(oname, f"oracle={brute} recursion={recursion}", group="counts")
-                    )
+                results.append(expect(
+                    oname, oracle.component_counts(n, k), recursion, "counts",
+                    "oracle={got} recursion={want}",
+                ))
             else:
                 results.append(
                     skipped(
@@ -291,18 +272,11 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
                     )
                 )
             if n >= k + 2:
-                tname = f"telescoped-count k={k} n={n}"
-                via_row = dot(counting_row(k, n), initial_vector(k))
-                if via_row == expected:
-                    results.append(passed(tname, group="counts"))
-                else:
-                    results.append(
-                        failed(
-                            tname,
-                            f"row functional gives {scalar_str(via_row)}, formula {expected}",
-                            group="counts",
-                        )
-                    )
+                results.append(expect(
+                    f"telescoped-count k={k} n={n}",
+                    dot(counting_row(k, n), initial_vector(k)), expected, "counts",
+                    "row functional gives {got}, formula {want}",
+                ))
     return results
 
 
@@ -326,11 +300,10 @@ def _suite_conjecture(k_max: int, budget: int) -> list[CheckResult]:
                 )
             )
             continue
-        brute = oracle.component_counts(2 * k, k)
-        if brute == solved:
-            results.append(passed(name, group="conjecture"))
-        else:
-            results.append(failed(name, f"solved={solved} oracle={brute}", group="conjecture"))
+        results.append(expect(
+            name, solved, oracle.component_counts(2 * k, k), "conjecture",
+            "solved={got} oracle={want}",
+        ))
     return results
 
 
@@ -364,11 +337,7 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
         m = kernel_matrix(k)
         for label, engine in (("bareiss", det_bareiss), ("dodgson", det_dodgson)):
             name = f"det-kernel-matrix k={k} engine={label}"
-            value = engine(m)
-            if value == 1:
-                results.append(passed(name, group="prop33"))
-            else:
-                results.append(failed(name, f"det = {scalar_str(value)}", group="prop33"))
+            results.append(expect(name, engine(m), 1, "prop33", "det = {got}"))
         sname = f"integral-kernel-solve k={k}"
         try:
             kernel_by_solve(k)
@@ -379,11 +348,7 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
             q = component_matrix(k, n)
             for label, engine in (("bareiss", det_bareiss), ("dodgson", det_dodgson)):
                 name = f"det-component-matrix k={k} n={n} engine={label}"
-                value = engine(q)
-                if value == 1:
-                    results.append(passed(name, group="prop33"))
-                else:
-                    results.append(failed(name, f"det = {scalar_str(value)}", group="prop33"))
+                results.append(expect(name, engine(q), 1, "prop33", "det = {got}"))
     for k in range(min(k_max, 3) + 1):
         for x in range(grid.x[0], grid.x[1] + 1):
             for y in range(grid.y[0], grid.y[1] + 1):
@@ -393,17 +358,10 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
                 except ValueError as exc:
                     results.append(skipped(name, str(exc), group="prop33"))
                     continue
-                direct = det_bareiss(shifted_binomial_matrix(k, x, y))
-                if closed == direct:
-                    results.append(passed(name, group="prop33"))
-                else:
-                    results.append(
-                        failed(
-                            name,
-                            f"product {scalar_str(closed)} vs determinant {scalar_str(direct)}",
-                            group="prop33",
-                        )
-                    )
+                results.append(expect(
+                    name, closed, det_bareiss(shifted_binomial_matrix(k, x, y)), "prop33",
+                    "product {got} vs determinant {want}",
+                ))
     return results
 
 
@@ -502,12 +460,3 @@ def run_suite(
         checks.extend(_suite_dodgson())
     bounds = {"k_max": k_max, "n_max": n_max, "budget": budget}
     return VerificationReport(suite, bounds, checks, time.perf_counter() - start)
-
-
-def cross_validate(
-    k_max: int = DEFAULT_K_MAX,
-    n_max: int = DEFAULT_N_MAX,
-    oracle_budget: int = DEFAULT_BUDGET,
-) -> VerificationReport:
-    """Every check the package knows about, on the default grids."""
-    return run_suite("all", k_max=k_max, n_max=n_max, budget=oracle_budget)

@@ -41,6 +41,17 @@ def skipped(name: str, witness: str, group: str = "") -> CheckResult:
     return CheckResult(name, SKIPPED, witness, group)
 
 
+def expect(
+    name: str, got, want, group: str, witness: str = "got {got}, expected {want}"
+) -> CheckResult:
+    """Pass when ``got == want``, else fail with ``witness`` formatted from
+    both sides (``{got}``, ``{want}``, ``{got[0]}`` ...).  The witness is
+    formatted only on failure; ``str`` of a Fraction is its scalar_str."""
+    if got == want:
+        return CheckResult(name, PASS, None, group)
+    return CheckResult(name, FAIL, witness.format(got=got, want=want), group)
+
+
 @dataclass
 class VerificationReport:
     """A deterministic collection of check results for one suite run."""

@@ -181,10 +181,13 @@ def test_verify_missing_grid_file(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_bad_threads(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "dodgson", "--threads", "0")
-    assert code == 2
-    assert "--threads" in err
+@pytest.mark.parametrize("text", ["5", '[["k",[0,1]]]', '{"k": [null, 3]}', '{"k": [0, 3.7]}'])
+def test_verify_malformed_grid_file(tmp_path, capsys, text):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemmaA", "--grid", str(grid_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_verify_inconsistent_bounds(capsys):

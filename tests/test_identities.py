@@ -197,3 +197,12 @@ def test_gridspec_roundtrip():
         GridSpec.from_dict({"k": [3, 0]})
     with pytest.raises(ValueError):
         GridSpec.from_dict({"k": 3})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [5, [["k", [0, 1]]], {"k": [None, 3]}, {"k": [0, 3.7]}, {"k": [True, 3]}, {"k": ["0", 3]}],
+)
+def test_gridspec_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        GridSpec.from_dict(data)

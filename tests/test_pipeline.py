@@ -11,7 +11,6 @@ from lisenum import (
     components,
     count,
     count_formula,
-    cross_validate,
     kernel_by_solve,
     run_suite,
 )
@@ -83,10 +82,11 @@ def test_count_methods():
     assert count(8, 2, "oracle") == 41
     assert count(10, 3, "formula") == 479
     assert count(6, 1, "kernel") == 5
-    assert count(6, 1, "kernel_recursion") == 5
     assert count(7, 3, "cramer") == 104
     with pytest.raises(ValueError):
         count(8, 2, "nonsense")
+    with pytest.raises(ValueError):
+        count(6, 1, "kernel_recursion")
 
 
 def test_count_agreement_small_grid():
@@ -161,7 +161,7 @@ def test_table_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_cross_validate_small_grid_passes():
-    report = cross_validate(k_max=2, n_max=8, oracle_budget=10**5)
+    report = run_suite("all", k_max=2, n_max=8, budget=10**5)
     assert report.ok
     assert report.totals()["fail"] == 0
     assert report.bounds == {"k_max": 2, "n_max": 8, "budget": 10**5}
@@ -171,8 +171,8 @@ def test_cross_validate_small_grid_passes():
 
 
 def test_cross_validate_is_deterministic():
-    a = cross_validate(k_max=1, n_max=6, oracle_budget=10**4)
-    b = cross_validate(k_max=1, n_max=6, oracle_budget=10**4)
+    a = run_suite("all", k_max=1, n_max=6, budget=10**4)
+    b = run_suite("all", k_max=1, n_max=6, budget=10**4)
     assert [(c.group, c.name, c.status, c.witness) for c in a.checks] == [
         (c.group, c.name, c.status, c.witness) for c in b.checks
     ]
