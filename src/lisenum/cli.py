@@ -60,7 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_oracle_budget(n: int, k: int) -> None:
+    """Refuse brute force beyond the default candidate budget, before any output."""
+    oracle.check_size(n, k)
+    if not pipeline.within_budget(n, k, DEFAULT_BUDGET):
+        raise ValueError(
+            f"brute force at n={n}, k={k} spans {oracle.candidate_count(n, k)} "
+            f"candidates, more than the budget {DEFAULT_BUDGET}"
+        )
+
+
 def _cmd_count(args) -> int:
+    if args.method == "oracle":
+        _check_oracle_budget(args.n, args.k)
     print(pipeline.count(args.n, args.k, args.method))
     return 0
 
@@ -72,11 +84,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.prefix is None:
-        members = oracle.enumerate_class(args.n, args.k)
-    else:
-        members = oracle.enumerate_with_prefix(args.n, args.k, args.prefix)
-    for mu in members:
+    _check_oracle_budget(args.n, args.k)
+    for mu in oracle.iter_class(args.n, args.k, args.prefix):
         print(oracle.format_perm(mu))
     return 0
 

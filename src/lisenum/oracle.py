@@ -8,18 +8,38 @@ prefix k+1 because the values below a_1 all have to fit into the k
 trailing positions.
 
 Everything else in the package (closed formula, recursion, matrix
-solves) is validated against the enumeration implemented here, so this
-module stays deliberately direct: generate the binom(n, k) * k!
-candidates with an increasing prefix and filter by subsequence length.
-The full n! search space is never touched.
+solves) is validated against the enumeration implemented here.  It is
+a depth-first walk in lexicographic order: choose the increasing
+prefix entry by entry, then place the k trailing values one at a time.
+The full n! search space is never touched, and neither are most of the
+binom(n, k) * k! permutations with an increasing prefix.
+
+The walk keeps the patience-sorting tails of what it has placed
+(Schensted): ``tails[t]`` is the smallest value ending an increasing
+subsequence of length t+1, and the subsequence bound n-k is
+``len(tails) <= n-k``.  After the prefix the tails are the prefix
+itself, already n-k long, so a trailing value v keeps the permutation
+in the class exactly when v < tails[-1]; it then replaces
+``tails[bisect_left(tails, v)]``, which never raises tails[-1].
+
+Pruning lemma: a partial permutation whose prefix is complete and
+whose tails are still n-k long extends to a member if and only if
+every value still to place lies below tails[-1].  If one value lies
+above, tails[-1] only falls until it is placed, and placing it
+appends.  If none does, placing the largest value left keeps the
+condition.  In particular the prefix ends in n.
+
+The walk cuts every node that breaks the condition, so each node it
+keeps has a member below it.  Counting adds up leaves and builds no
+tuple.  ``lis_length`` stays the definition behind ``is_member``, and
+the tests compare the walk with a filter of all n! permutations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -78,32 +98,110 @@ def is_member(mu: Sequence[int], n: int, k: int) -> bool:
 
 
 def candidate_count(n: int, k: int) -> int:
-    """Size of the generation space: binom(n, k) suffix choices times k!."""
+    """binom(n, k) * k!, the permutations with an increasing prefix.
+
+    It bounds the members and the leaves of the walk, and it is the
+    measure that brute-force budgets are stated in.
+    """
     return comb(n, k) * factorial(k)
 
 
-def _iter_members(n: int, k: int) -> Iterator[Perm]:
-    """Yield class members in no particular order.
+def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], list[int]]]:
+    """``(prefix, rest)`` for each increasing prefix of length n-k that
+    starts with ``first``, in lexicographic order; ``rest`` holds the
+    other values, sorted.  n >= 1.
 
-    Chooses the k suffix values, takes the sorted complement as the
-    increasing prefix, and keeps a candidate when no suffix value starts
-    an increasing subsequence longer than n-k.
+    ``combinations`` picks the prefix entry by entry, entry p (0-based)
+    at most k+p+1, so nothing comes out for first > k+1.  Prefixes that
+    do not end in n come out too; ``_place`` cuts them at once.
     """
-    target = n - k
-    values = range(1, n + 1)
-    for suffix_values in combinations(values, k):
-        taken = set(suffix_values)
-        prefix = tuple(v for v in values if v not in taken)
-        for tail in permutations(suffix_values):
-            mu = prefix + tail
-            if lis_length(mu) <= target:
-                yield mu
+    for mid in combinations(range(first + 1, n + 1), n - k - 1):
+        prefix = [first, *mid]
+        taken = set(prefix)
+        yield prefix, [v for v in range(1, n + 1) if v not in taken]
+
+
+def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[Perm]:
+    """Members that continue ``placed``, in lexicographic order.
+
+    ``tails`` are the patience tails of ``placed`` and ``rest`` the
+    sorted values still to place; ``tails`` and ``placed`` are restored
+    before returning.  By the pruning lemma there are none when a value
+    in ``rest`` lies above tails[-1].
+    """
+    if rest and rest[-1] > tails[-1]:
+        return
+    if len(rest) <= 1:
+        yield (*placed, *rest)
+        return
+    if len(rest) == 2:
+        # b, a always works (largest first); a, b only if a leaves
+        # tails[-1] in place, that is, a < tails[-2]
+        a, b = rest
+        if len(tails) > 1 and a < tails[-2]:
+            yield (*placed, a, b)
+        yield (*placed, b, a)
+        return
+    for j, v in enumerate(rest):
+        pos = bisect_left(tails, v)
+        old, tails[pos] = tails[pos], v
+        placed.append(v)
+        yield from _place(tails, rest[:j] + rest[j + 1:], placed)
+        placed.pop()
+        tails[pos] = old
+
+
+def _count_below(tails: list[int], rest: list[int]) -> int:
+    """How many members ``_place`` would yield from the same node."""
+    if rest and rest[-1] > tails[-1]:
+        return 0
+    if len(rest) <= 1:
+        return 1
+    if len(rest) == 2:
+        # the two orders of _place
+        return 1 + (len(tails) > 1 and rest[0] < tails[-2])
+    total = 0
+    for j, v in enumerate(rest):
+        pos = bisect_left(tails, v)
+        old, tails[pos] = tails[pos], v
+        total += _count_below(tails, rest[:j] + rest[j + 1:])
+        tails[pos] = old
+    return total
+
+
+def _iter_component(n: int, k: int, first: int) -> Iterator[Perm]:
+    """Members whose first entry is ``first``, in lexicographic order."""
+    for prefix, rest in _roots(n, k, first):
+        yield from _place(list(prefix), rest, prefix)
+
+
+def _iter_members(n: int, k: int) -> Iterator[Perm]:
+    """The whole class at size (n, k), in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, k + 2):
+        yield from _iter_component(n, k, first)
+
+
+def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
+    """Members at size (n, k), lazily and in lexicographic order.
+
+    With ``prefix`` only those whose first entry is ``prefix``: none for
+    prefix > k+1, and a prefix outside 1..n is a domain error.  The
+    arguments are checked here, before the first member is asked for.
+    """
+    check_size(n, k)
+    if prefix is None:
+        return _iter_members(n, k)
+    if not 1 <= prefix <= n:
+        raise ValueError(f"prefix must lie in 1..{n}, got {prefix}")
+    return _iter_component(n, k, prefix)
 
 
 def enumerate_class(n: int, k: int) -> list[Perm]:
     """All members at size (n, k), in lexicographic order."""
-    check_size(n, k)
-    return sorted(_iter_members(n, k))
+    return list(iter_class(n, k))
 
 
 def enumerate_with_prefix(n: int, k: int, i: int) -> list[Perm]:
@@ -111,12 +209,7 @@ def enumerate_with_prefix(n: int, k: int, i: int) -> list[Perm]:
 
     Empty for every i > k+1.  i outside 1..n is a domain error.
     """
-    check_size(n, k)
-    if not 1 <= i <= n:
-        raise ValueError(f"prefix must lie in 1..{n}, got {i}")
-    if i > k + 1:
-        return []
-    return sorted(mu for mu in _iter_members(n, k) if mu[0] == i)
+    return list(iter_class(n, k, i))
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +217,10 @@ def _component_counts(n: int, k: int) -> tuple[int, ...]:
     if n == 0:
         # the empty permutation occupies the single slot of the k = 0 vector
         return (1,)
-    counts = Counter(mu[0] for mu in _iter_members(n, k))
-    return tuple(counts.get(i, 0) for i in range(1, k + 2))
+    return tuple(
+        sum(_count_below(prefix, rest) for prefix, rest in _roots(n, k, first))
+        for first in range(1, k + 2)
+    )
 
 
 def component_counts(n: int, k: int) -> list[int]:
@@ -198,6 +293,5 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
 
 def format_perm(mu: Sequence[int]) -> str:
     """Digit string for n <= 9, comma-separated values otherwise."""
-    if len(mu) <= 9:
-        return "".join(str(a) for a in mu)
-    return ",".join(str(a) for a in mu)
+    sep = "" if len(mu) <= 9 else ","
+    return sep.join([str(a) for a in mu])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lisenum import cli, oracle, pipeline
 from lisenum.cli import main
 
 
@@ -123,6 +124,48 @@ def test_enumerate_prefix_out_of_range(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--k", "2", "--prefix", "5")
     assert code == 2
     assert "prefix" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "20", "--k", "10"),
+        ("enumerate", "--n", "20", "--k", "10", "--prefix", "1"),
+        ("count", "--n", "20", "--k", "10", "--method", "oracle"),
+    ],
+)
+def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
+    def entered(*args):
+        raise AssertionError("the brute-force walk was entered")
+
+    for name in ("_roots", "_iter_members", "_iter_component", "_component_counts"):
+        monkeypatch.setattr(oracle, name, entered)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: brute force at n=20, k=10 spans 670442572800 candidates, "
+        "more than the budget 1000000\n"
+    )
+
+
+def test_brute_force_budget_is_inclusive(monkeypatch, capsys):
+    # (7, 3) has C(7, 3) * 3! = 210 candidates
+    argv = ("count", "--n", "7", "--k", "3", "--method", "oracle")
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 210)
+    assert run_cli(capsys, *argv) == (0, "104\n", "")
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 209)
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+    assert run_cli(capsys, "enumerate", "--n", "7", "--k", "3")[:2] == (2, "")
+
+
+def test_brute_force_commands_skip_the_verify_n_cap(capsys):
+    # the n cap limits the verify grid; one named cell meets the budget alone
+    n = pipeline.ORACLE_N_CAP + 2
+    assert run_cli(capsys, "count", "--n", str(n), "--k", "1", "--method", "oracle") == (
+        0, f"{n - 1}\n", "",
+    )
+    code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--k", "1")
+    assert (code, len(out.splitlines())) == (0, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ together with the CLI's exit code 1 and its FAIL line.
 import math
 from fractions import Fraction
 
+import pytest
+
 from lisenum import identities, matrices, oracle, pipeline
 from lisenum.cli import main
 from lisenum.identities import GridSpec
@@ -230,6 +232,22 @@ def test_moment_identity_wrong(monkeypatch):
     assert failures([identities.moment_identity_check(0, 0, 5)]) == [
         ("lemmaC", "moment-identity k=0 b=0 n=5", "lhs=1/4 rhs=1/2"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# tables
+# ---------------------------------------------------------------------------
+
+def test_table_cell_failure(monkeypatch, capsys):
+    real = pipeline.count_formula
+    monkeypatch.setattr(pipeline, "count_formula", lambda n, k: real(n, k) + (n == 7))
+    message = "table cell failure at k=2, n=7: recursion total 29 vs formula 30"
+    with pytest.raises(ArithmeticError) as exc:
+        pipeline.component_table(2, 4, 9)
+    assert str(exc.value) == message
+    code = main(["table", "--k", "2", "--n-from", "4", "--n-to", "9"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Brute-force enumeration: checked against definition-level re-derivations."""
 
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from lisenum import (
     is_member,
     lis_length,
 )
+from lisenum.oracle import candidate_count
 
 
 def lis_exhaustive(mu):
@@ -110,6 +112,46 @@ def test_enumeration_matches_full_scan():
             assert members == members_by_full_scan(n, k)
             assert all(is_member(mu, n, k) for mu in members)
             assert members == sorted(members)
+
+
+def members_by_candidate_scan(n, k):
+    """The candidate scan the walk replaced: every permutation with an
+    increasing prefix, kept when lis_length allows it."""
+    values = range(1, n + 1)
+    out = []
+    for suffix in combinations(values, k):
+        prefix = tuple(v for v in values if v not in suffix)
+        for tail in permutations(suffix):
+            if lis_length(prefix + tail) <= n - k:
+                out.append(prefix + tail)
+    return sorted(out)
+
+
+def test_enumeration_matches_definition_filter():
+    for n in range(9):
+        every = list(permutations(range(1, n + 1)))
+        for k in range(n // 2 + 1):
+            assert enumerate_class(n, k) == sorted(p for p in every if is_member(p, n, k))
+
+
+# every cell up to the oracle's n cap with at most 10^5 candidates
+SCAN_CELLS = [
+    pytest.param(n, k, id=f"n{n}-k{k}")
+    for n in range(15)
+    for k in range(n // 2 + 1)
+    if candidate_count(n, k) <= 10**5
+]
+
+
+@pytest.mark.parametrize("n, k", SCAN_CELLS)
+def test_walks_match_candidate_scan(n, k):
+    members = members_by_candidate_scan(n, k)
+    assert enumerate_class(n, k) == members
+    for i in range(1, n + 1):
+        assert enumerate_with_prefix(n, k, i) == [mu for mu in members if mu[0] == i]
+    if n > 0:
+        firsts = Counter(mu[0] for mu in members)
+        assert component_counts(n, k) == [firsts[i] for i in range(1, k + 2)]
 
 
 def test_enumerate_with_prefix():

@@ -115,6 +115,16 @@ def test_tables_reproduce_reference_columns():
         assert list(table.totals) == [sum(golden[n]) for n in ns]
 
 
+def test_table_columns_match_components():
+    # the table advances one column at a time; components restarts at n = 2k
+    for k in range(7):
+        for n_from in (2 * k, 2 * k + 3):
+            table = component_table(k, n_from, 60)
+            assert table.n_values == tuple(range(n_from, 61))
+            for n, col in zip(table.n_values, table.columns):
+                assert list(col) == components(n, k), (k, n)
+
+
 def test_table_k0_is_all_ones():
     table = component_table(0, 1, 5)
     assert table.columns == ((1,),) * 5
