@@ -2,9 +2,11 @@
 
 The kernel and component matrices all have determinant 1, so Cramer
 solves against them stay integral: the component counts literally are
-column-replacement determinants.  Bareiss elimination is the reference
-engine; Dodgson condensation is the independent second opinion, with a
-Bareiss fallback wherever a zero interior entry would block a step.
+column-replacement determinants (route 4).  Route 3 solves the same
+kind of system with one fraction-free elimination instead.  Bareiss
+elimination is the reference engine; Dodgson condensation is the
+independent second opinion, with a Bareiss fallback wherever a zero
+interior entry would block a step.
 """
 
 from lisenum import (
@@ -16,6 +18,7 @@ from lisenum import (
     initial_vector,
     kernel_matrix,
     shifted_binomial_matrix,
+    solve_bareiss,
     solve_cramer,
 )
 
@@ -25,11 +28,12 @@ for k in (1, 3, 5):
     print(f"  k={k}: det kernel = {det_bareiss(m)} / {det_dodgson(m)}   "
           f"det component = {det_bareiss(q)} / {det_dodgson(q)}  (bareiss / dodgson)")
 
-print("\nkernel_matrix(2) and the solve that produces the kernel column:")
+print("\nkernel_matrix(2) and the two solves that produce the kernel column:")
 for row in kernel_matrix(2).entries:
     print("  ", [int(x) for x in row])
 print("  initial vector:", list(initial_vector(2)))
-print("  solve ->", [int(x) for x in solve_cramer(kernel_matrix(2), initial_vector(2))])
+for label, solve in (("elimination", solve_bareiss), ("cramer", solve_cramer)):
+    print(f"  {label:>11} solve ->", [int(x) for x in solve(kernel_matrix(2), initial_vector(2))])
 
 print("\nCondensation needs interior entries to be nonzero; the all-ones")
 print("matrix has none, so every step falls back to Bareiss minors:")

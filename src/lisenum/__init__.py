@@ -37,6 +37,7 @@ from .matrices import (
     matrix_times_vector,
     row_times_matrix,
     shifted_binomial_matrix,
+    solve_bareiss,
     solve_cramer,
     transfer_matrix,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "run_suite",
     "scalar_str",
     "shifted_binomial_matrix",
+    "solve_bareiss",
     "solve_cramer",
     "transfer_matrix",
     "vandermonde_chu_check",

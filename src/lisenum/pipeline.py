@@ -32,6 +32,7 @@ from .matrices import (
     kernel_matrix,
     matrix_times_vector,
     shifted_binomial_matrix,
+    solve_bareiss,
     solve_cramer,
     transfer_matrix,
 )
@@ -71,14 +72,15 @@ def count_formula(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel_by_solve(k: int) -> tuple[int, ...]:
-    solution = solve_cramer(kernel_matrix(k), initial_vector(k))
+    solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
     if any(x.denominator != 1 or x < 0 for x in solution):
         raise ConjectureViolation(k, solution)
     return tuple(int(x) for x in solution)
 
 
 def kernel_by_solve(k: int) -> list[int]:
-    """The kernel column obtained by solving the kernel matrix system.
+    """The kernel column obtained by solving the kernel matrix system
+    with one fraction-free elimination (no determinant is computed).
 
     This is the conjectured description of the kernel; it hard-fails
     rather than rounding if the solve is ever non-integral or negative,

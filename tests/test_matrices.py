@@ -24,6 +24,7 @@ from lisenum import (
     mat_mul,
     row_times_matrix,
     shifted_binomial_matrix,
+    solve_bareiss,
     solve_cramer,
     transfer_matrix,
 )
@@ -247,12 +248,84 @@ def test_solve_cramer_random_against_residual():
         solved += 1
 
 
+def test_replace_column():
+    from lisenum.matrices import replace_column
+
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    half = Fraction(1, 2)
+    assert replace_column(m, 1, (half, 7)) == Matrix.from_rows([[1, half], [3, 7]])
+    for col in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            replace_column(m, col, (5, 6))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        replace_column(m, 0, (5,))
+
+
 def test_solve_cramer_errors():
     singular = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError, match="determinant is 0"):
         solve_cramer(singular, (1, 1))
     with pytest.raises(ValueError):
         solve_cramer(Matrix.identity(2), (1, 2, 3))
+
+
+def test_solve_bareiss_golden():
+    assert solve_bareiss(kernel_matrix(2), initial_vector(2)) == (1, 2, 2)
+    assert solve_bareiss(component_matrix(3, 9), initial_vector(3)) == (191, 87, 30, 6)
+    v = (Fraction(5), Fraction(-2, 3))
+    assert solve_bareiss(Matrix.identity(2), v) == v
+
+
+def test_solve_bareiss_matches_cramer_on_structured_systems():
+    for k in range(0, 26):
+        m, v = kernel_matrix(k), initial_vector(k)
+        assert solve_bareiss(m, v) == solve_cramer(m, v), k
+    for k, n in ((1, 2), (3, 7), (5, 10), (6, 19), (9, 40), (12, 100)):
+        m, v = component_matrix(k, n), initial_vector(k)
+        assert solve_bareiss(m, v) == solve_cramer(m, v), (k, n)
+
+
+def test_solve_bareiss_random_against_residual():
+    rng = random.Random(89)
+    solved = 0
+    while solved < 60:
+        dim = 1 + rng.randrange(5)
+        if solved % 2:
+            rows = [[Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(dim)]
+                    for _ in range(dim)]
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+            v = [rng.randint(-9, 9) for _ in range(dim)]
+        m = Matrix.from_rows(rows)
+        if det_bareiss(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                solve_bareiss(m, v)
+            continue
+        x = solve_bareiss(m, v)
+        for i in range(dim):
+            assert sum(m.entries[i][j] * x[j] for j in range(dim)) == v[i]
+        solved += 1
+
+
+def test_solve_bareiss_row_swap():
+    # the leading entry is zero, so the first column pivots on row 2
+    assert solve_bareiss(Matrix.from_rows([[0, 1], [1, 0]]), (3, 4)) == (4, 3)
+    assert solve_bareiss(Matrix.from_rows([[0, 0, 2], [0, 3, 1], [5, 1, 4]]), (2, 4, 7)) == (
+        Fraction(2, 5), 1, 1,
+    )
+
+
+def test_solve_bareiss_errors():
+    with pytest.raises(SingularMatrixError, match="determinant is 0"):
+        solve_bareiss(Matrix.from_rows([[1, 2], [2, 4]]), (1, 1))
+    # singular with a zero column beyond the first step
+    with pytest.raises(SingularMatrixError, match="determinant is 0"):
+        solve_bareiss(Matrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]), (1, 1, 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_bareiss(Matrix.identity(2), (1, 2, 3))
+    with pytest.raises(ValueError, match="square matrix"):
+        solve_bareiss(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Counting routes, tables and the cross-validation engine."""
 
 import json
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisenum import (
     ConjectureViolation,
@@ -14,6 +17,7 @@ from lisenum import (
     kernel_by_solve,
     run_suite,
 )
+from lisenum import matrices, pipeline
 from lisenum.pipeline import ORACLE_N_CAP
 
 KERNELS = {
@@ -94,6 +98,66 @@ def test_count_agreement_small_grid():
         for n in range(2 * k, 11):
             values = {count(n, k, m) for m in ("formula", "oracle", "kernel", "cramer")}
             assert len(values) == 1, (n, k, values)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+def _patch_out(monkeypatch, *names):
+    """Make every named solver raise, in matrices and where pipeline
+    imported it by name."""
+    for name in names:
+        for module in (matrices, pipeline):
+            monkeypatch.setattr(module, name, _refuse(name))
+
+
+def test_kernel_route_computes_no_determinant(monkeypatch):
+    # route 3 solves by one elimination; route 4's solver and the
+    # determinant engine behind it are never entered
+    _patch_out(monkeypatch, "solve_cramer", "det_bareiss")
+    pipeline._kernel_by_solve.cache_clear()
+    assert count(60, 12, "kernel") == count_formula(60, 12)
+    table = component_table(7, 14, 40)
+    assert table.totals[-1] == count_formula(40, 7)
+    assert kernel_by_solve(5) == KERNELS[5]
+
+
+def test_cramer_route_uses_no_elimination_solve(monkeypatch):
+    _patch_out(monkeypatch, "solve_bareiss")
+    pipeline._kernel_by_solve.cache_clear()
+    assert count(60, 12, "cramer") == count_formula(60, 12)
+    assert components(9, 3, "cramer") == [191, 87, 30, 6]
+
+
+# derandomized so that tier-1 runs the same examples every time
+SIZES = st.integers(0, 30).flatmap(lambda k: st.tuples(st.integers(2 * k, 200), st.just(k)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SIZES)
+def test_routes_agree_beyond_brute_force(size):
+    n, k = size
+    assert count(n, k, "formula") == count(n, k, "kernel") == count(n, k, "cramer")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SIZES)
+def test_last_component_is_k_factorial(size):
+    n, k = size
+    assert components(n, k)[-1] == factorial(k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SIZES, st.integers(1, 30))
+def test_table_columns_are_tail_sums(size, width):
+    n, k = size
+    table = component_table(k, n, n + width)
+    for before, after in zip(table.columns, table.columns[1:]):
+        assert list(after) == [sum(before[i:]) for i in range(k + 1)]
 
 
 def test_conjecture_violation_is_loud():
