@@ -10,7 +10,7 @@ ships verification suites that cross-check every route and every
 supporting identity.
 """
 
-from .exact import binomial, exact_div, falling_factorial, parse_scalar, scalar_str
+from .exact import binomial, exact_div, falling_factorial
 from .identities import (
     GridSpec,
     binomial_moment_sum,
@@ -106,10 +106,8 @@ __all__ = [
     "moment_sum_recurrence_residuals",
     "ones_entry_recurrence_residuals",
     "ones_product_entry",
-    "parse_scalar",
     "row_times_matrix",
     "run_suite",
-    "scalar_str",
     "shifted_binomial_matrix",
     "solve_bareiss",
     "solve_cramer",

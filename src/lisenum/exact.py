@@ -3,15 +3,14 @@
 The counts handled by this package overflow 64-bit integers quickly, so
 every quantity is a Python ``int`` (unbounded precision) or a
 ``fractions.Fraction``, which is always stored in lowest terms with a
-positive denominator.  No float appears anywhere.
+positive denominator.  No float appears anywhere.  Both print exactly
+with ``str``: a decimal integer, or lowest-terms ``p/q`` (just ``n``
+when the denominator is 1).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Scalar = int | Fraction
 
 
 def exact_div(a: int, b: int) -> int:
@@ -49,19 +48,3 @@ def falling_factorial(n: int, i: int) -> int:
         raise ValueError(f"falling_factorial undefined for i > n: ({n}, {i})")
     return math.perm(n, i)
 
-
-def scalar_str(x: Scalar) -> str:
-    """Decimal string for integers, lowest-terms ``p/q`` for true rationals."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
-def parse_scalar(s: str) -> Scalar:
-    """Inverse of :func:`scalar_str`."""
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
-    return int(s)

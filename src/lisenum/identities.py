@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .exact import binomial, scalar_str
-from .report import CheckResult, expect, failed, passed, skipped
+from .exact import binomial
+from .report import PASS, CheckResult, expect, expect_within, failed, passed, skipped
 
 Range = tuple[int, int]
 
@@ -197,9 +197,6 @@ class GridSpec:
     def from_json(text: str) -> "GridSpec":
         return GridSpec.from_dict(json.loads(text))
 
-    def to_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
     def k_values(self) -> range:
         return range(max(self.k[0], 0), self.k[1] + 1)
 
@@ -214,13 +211,12 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
     for a in range(spec.A[0], spec.A[1] + 1):
         for b in range(spec.B[0], spec.B[1] + 1):
             name = f"convolution A={a} B={b} x={x_lo}..{x_hi}"
-            verdict: CheckResult | None = None
-            for x in range(x_lo, x_hi + 1):
-                point = vandermonde_chu_check(a, b, x)
-                if point.status != "pass":
-                    verdict = failed(name, point.witness or point.name, group="lemmaA")
-                    break
-            results.append(verdict or passed(name, group="lemmaA"))
+            points = (vandermonde_chu_check(a, b, x) for x in range(x_lo, x_hi + 1))
+            bad = next((point for point in points if point.status != PASS), None)
+            results.append(
+                passed(name, group="lemmaA") if bad is None
+                else failed(name, bad.witness, group="lemmaA")
+            )
     return results
 
 
@@ -230,37 +226,21 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
     for k in spec.k_values():
         for n in spec.n_values(k):
             for r in range(spec.r[0], spec.r[1] + 1):
-                name = f"ones-entry k={k} r={r} n={n}"
-                value = ones_product_entry(k, r, n)
-                if r > k + 1:
-                    results.append(
-                        skipped(
-                            name,
-                            f"outside 1 <= r <= k+1, recorded value {scalar_str(value)}",
-                            group="lemmaB",
-                        )
-                    )
-                else:
-                    results.append(expect(name, value, 1, "lemmaB", "value {got}"))
+                results.append(expect_within(
+                    f"ones-entry k={k} r={r} n={n}", r <= k + 1, ones_product_entry(k, r, n),
+                    1, "lemmaB", "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
+                ))
                 rname = f"ones-recurrence k={k} r={r} n={n}"
                 try:
-                    first, second = ones_entry_recurrence_residuals(k, r, n)
+                    residuals = ones_entry_recurrence_residuals(k, r, n)
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaB"))
                     continue
-                if r > k + 1:
-                    results.append(
-                        skipped(
-                            rname,
-                            f"outside 1 <= r <= k+1, recorded residuals "
-                            f"({scalar_str(first)}, {scalar_str(second)})",
-                            group="lemmaB",
-                        )
-                    )
-                else:
-                    results.append(expect(
-                        rname, (first, second), (0, 0), "lemmaB", "residuals ({got[0]}, {got[1]})"
-                    ))
+                results.append(expect_within(
+                    rname, r <= k + 1, residuals, (0, 0), "lemmaB",
+                    "residuals ({got[0]}, {got[1]})",
+                    "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
+                ))
     return results
 
 
@@ -276,16 +256,11 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 except ValueError as exc:
                     results.append(skipped(name, f"undefined: {exc}", group="lemmaC"))
                     continue
-                if b > k:
-                    results.append(
-                        skipped(
-                            name,
-                            f"outside 0 <= b <= k, recorded value {scalar_str(value)}",
-                            group="lemmaC",
-                        )
-                    )
-                else:
-                    results.append(expect(name, value, 1, "lemmaC", "value {got}"))
+                results.append(expect_within(
+                    name, b <= k, value, 1, "lemmaC",
+                    "value {got}", "outside 0 <= b <= k, recorded value {got}",
+                ))
+                if b <= k:
                     results.append(moment_identity_check(k, b, n))
                 rname = f"moment-recurrence k={k} b={b} n={n}"
                 try:
@@ -293,28 +268,18 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaC"))
                     continue
-                if b > k:
-                    results.append(
-                        skipped(
-                            rname,
-                            f"outside 0 <= b <= k, recorded residuals "
-                            f"({scalar_str(first)}, {scalar_str(second)})",
-                            group="lemmaC",
-                        )
+                # inside the window only the k-direction residual is asserted here
+                check = expect_within(
+                    rname, b <= k, (first, second), (0, second), "lemmaC",
+                    "k-direction residual {got[0]}",
+                    "outside 0 <= b <= k, recorded residuals ({got[0]}, {got[1]})",
+                )
+                if check.status == PASS:
+                    # at b == k the b-direction difference reaches b+1 > k
+                    check = expect_within(
+                        rname, b < k, second, 0, "lemmaC", "b-direction residual {got}",
+                        "b-direction probes b+1 > k, recorded residual {got}; "
+                        "k-direction residual 0",
                     )
-                elif first != 0:
-                    results.append(
-                        failed(rname, f"k-direction residual {scalar_str(first)}", group="lemmaC")
-                    )
-                elif b == k:
-                    results.append(
-                        skipped(
-                            rname,
-                            f"b-direction probes b+1 > k, recorded residual "
-                            f"{scalar_str(second)}; k-direction residual 0",
-                            group="lemmaC",
-                        )
-                    )
-                else:
-                    results.append(expect(rname, second, 0, "lemmaC", "b-direction residual {got}"))
+                results.append(check)
     return results

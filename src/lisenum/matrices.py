@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import binomial, exact_div, scalar_str
-from .report import CheckResult, failed, passed
+from .exact import binomial, exact_div
+from .report import CheckResult, expect_entries
 
 Vector = tuple[Fraction, ...]
 
@@ -66,9 +66,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def to_json(self) -> list[list[str]]:
-        return [[scalar_str(x) for x in row] for row in self.entries]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -407,30 +404,23 @@ def binomial_det_product(k: int, x: int, y: int) -> Fraction:
 
 def check_transfer_consistency(k: int, n: int) -> CheckResult:
     """component_matrix(k, n) @ transfer_matrix(n, k) == kernel_matrix(k)."""
-    name = f"matrix-product-collapse k={k} n={n}"
     product = mat_mul(component_matrix(k, n), transfer_matrix(n, k))
-    want = kernel_matrix(k)
-    if product == want:
-        return passed(name, group="lemmaA")
-    for i in range(product.rows):
-        for j in range(product.cols):
-            if product.entries[i][j] != want.entries[i][j]:
-                return failed(
-                    name,
-                    f"entry ({i + 1}, {j + 1}): got {scalar_str(product.entries[i][j])}, "
-                    f"expected {scalar_str(want.entries[i][j])}",
-                    group="lemmaA",
-                )
-    raise AssertionError("unreachable")
+    return expect_entries(
+        f"matrix-product-collapse k={k} n={n}",
+        (
+            (f"entry ({i}, {j})", got, want)
+            for i, (row, want_row) in enumerate(zip(product.entries, kernel_matrix(k).entries), 1)
+            for j, (got, want) in enumerate(zip(row, want_row), 1)
+        ),
+        "lemmaA",
+    )
 
 
 def check_counting_row(k: int, n: int) -> CheckResult:
     """counting_row(k, n) . component_matrix(k, n) == (1, ..., 1)."""
-    name = f"counting-row-normalization k={k} n={n}"
     product = row_times_matrix(counting_row(k, n), component_matrix(k, n))
-    for j, value in enumerate(product, start=1):
-        if value != 1:
-            return failed(
-                name, f"column {j}: got {scalar_str(value)}, expected 1", group="lemmaB"
-            )
-    return passed(name, group="lemmaB")
+    return expect_entries(
+        f"counting-row-normalization k={k} n={n}",
+        ((f"column {j}", value, 1) for j, value in enumerate(product, 1)),
+        "lemmaB",
+    )

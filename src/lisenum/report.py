@@ -46,10 +46,29 @@ def expect(
 ) -> CheckResult:
     """Pass when ``got == want``, else fail with ``witness`` formatted from
     both sides (``{got}``, ``{want}``, ``{got[0]}`` ...).  The witness is
-    formatted only on failure; ``str`` of a Fraction is its scalar_str."""
+    formatted only on failure; exact values print as ``str`` does."""
     if got == want:
         return CheckResult(name, PASS, None, group)
     return CheckResult(name, FAIL, witness.format(got=got, want=want), group)
+
+
+def expect_within(
+    name: str, inside: bool, got, want, group: str, witness: str, recorded: str
+) -> CheckResult:
+    """:func:`expect` inside an identity's window; outside it the value is
+    a recorded probe, ``skipped`` with witness ``recorded.format(got=got)``."""
+    if inside:
+        return expect(name, got, want, group, witness)
+    return CheckResult(name, SKIPPED, recorded.format(got=got), group)
+
+
+def expect_entries(name: str, cells, group: str) -> CheckResult:
+    """Pass when every ``(where, got, want)`` cell agrees, else fail at the
+    first mismatch with ``"{where}: got {got}, expected {want}"``."""
+    for where, got, want in cells:
+        if got != want:
+            return CheckResult(name, FAIL, f"{where}: got {got}, expected {want}", group)
+    return CheckResult(name, PASS, None, group)
 
 
 @dataclass

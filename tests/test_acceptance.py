@@ -3,7 +3,11 @@ throughout) and time limit.  One PASS/FAIL line is printed per criterion;
 run with ``pytest tests/test_acceptance.py -v -s`` to see them live.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
+from hashlib import sha256
 from math import factorial
 from time import perf_counter
 
@@ -186,8 +190,21 @@ def test_criterion_8_insertion_bijection():
     run_criterion(8, "prefix insertion is a bijection (k<=3, n<=9)", 30.0, body)
 
 
-def test_criterion_9_default_verify_run():
-    def body():
-        assert cli_main(["verify", "--suite", "all"]) == 0
+# sha256 of the default run's stdout and of its report's ``checks`` array
+# (compact JSON, sorted keys), as recorded in perfbench/golden.json
+VERIFY_STDOUT_SHA256 = "0aea9f5de1662a8eeb42736cafc181c2578d43764eadcb7c321bf7227dcb5fe7"
+VERIFY_CHECKS_SHA256 = "fa85322b75df0381cfb738757fabefabfa417213056e0e20f40a158f2a567b74"
 
-    run_criterion(9, "default verify --suite all exits 0", 60.0, body)
+
+def test_criterion_9_default_verify_run(tmp_path):
+    def body():
+        out = tmp_path / "report.json"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert cli_main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        encoded = json.dumps(checks, sort_keys=True, separators=(",", ":"))
+        assert sha256(stdout.getvalue().encode()).hexdigest() == VERIFY_STDOUT_SHA256
+        assert sha256(encoded.encode()).hexdigest() == VERIFY_CHECKS_SHA256
+
+    run_criterion(9, "default verify --suite all exits 0, golden output", 60.0, body)

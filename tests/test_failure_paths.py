@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from lisenum import identities, matrices, oracle, pipeline
+from lisenum import Matrix, identities, matrices, oracle, pipeline
 from lisenum.cli import main
 from lisenum.identities import GridSpec
 
@@ -19,6 +19,10 @@ SMALL_ALL = {"k_max": 1, "n_max": 3, "budget": 10**4}
 
 def failures(checks):
     return [(c.group, c.name, c.witness) for c in checks if c.status == "fail"]
+
+
+def skips(checks):
+    return [(c.name, c.witness) for c in checks if c.status == "skipped"]
 
 
 def run_all_small():
@@ -152,6 +156,47 @@ def test_det_product_mismatch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# matrix checks report the first differing entry
+# ---------------------------------------------------------------------------
+
+def test_matrix_product_collapse_wrong(monkeypatch):
+    real = matrices.transfer_matrix
+
+    def planted(n, k):
+        rows = [list(row) for row in real(n, k).entries]
+        rows[-1] = [x + Fraction(1, 2) for x in rows[-1]]
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr(matrices, "transfer_matrix", planted)
+    grid = GridSpec(A=(0, 0), B=(0, 0), x=(0, 0))
+    assert failures(pipeline.run_suite("lemmaA", k_max=2, n_max=5, grid=grid).checks) == [
+        ("lemmaA", f"matrix-product-collapse k=0 n={n}", "entry (1, 1): got 3/2, expected 1")
+        for n in range(6)
+    ] + [
+        # entry (1, 2) of the component matrix vanishes at n = 2k: row 1 is right
+        ("lemmaA", "matrix-product-collapse k=1 n=2", "entry (2, 1): got 3/2, expected 1"),
+        ("lemmaA", "matrix-product-collapse k=1 n=3", "entry (1, 1): got 1/2, expected 1"),
+        ("lemmaA", "matrix-product-collapse k=1 n=4", "entry (1, 1): got 0, expected 1"),
+        ("lemmaA", "matrix-product-collapse k=1 n=5", "entry (1, 1): got -1/2, expected 1"),
+        ("lemmaA", "matrix-product-collapse k=2 n=4", "entry (1, 1): got 3/2, expected 1"),
+        ("lemmaA", "matrix-product-collapse k=2 n=5", "entry (1, 1): got 5/2, expected 1"),
+    ]
+
+
+def test_counting_row_normalization_wrong(monkeypatch):
+    real = matrices.row_times_matrix
+    monkeypatch.setattr(
+        matrices, "row_times_matrix",
+        lambda u, a: tuple(v + Fraction(j, 2) for j, v in enumerate(real(u, a))),
+    )
+    grid = GridSpec(k=(0, 0), n=(0, 0), r=(1, 1))
+    assert failures(pipeline.run_suite("lemmaB", k_max=2, n_max=5, grid=grid).checks) == [
+        ("lemmaB", f"counting-row-normalization k={k} n={n}", "column 2: got 3/2, expected 1")
+        for k, n in ((1, 3), (1, 4), (1, 5), (2, 4), (2, 5))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
@@ -213,6 +258,28 @@ def test_moment_sum_wrong_b_direction(monkeypatch):
     assert (probe.status, probe.witness) == (
         "skipped", "b-direction probes b+1 > k, recorded residual -3/2; k-direction residual 0"
     )
+
+
+def test_out_of_window_probes_are_recorded():
+    ones = identities.run_ones_identity_grid(GridSpec(k=(1, 1), n=(4, 5), r=(2, 3)))
+    undefined = "undefined reference: denominator n-j vanishes in 1..k+1: n=4, k=3"
+    assert skips(ones) == [
+        ("ones-recurrence k=1 r=2 n=4", undefined),
+        ("ones-entry k=1 r=3 n=4", "outside 1 <= r <= k+1, recorded value -2"),
+        ("ones-recurrence k=1 r=3 n=4", undefined),
+        ("ones-entry k=1 r=3 n=5", "outside 1 <= r <= k+1, recorded value -5"),
+        ("ones-recurrence k=1 r=3 n=5", "outside 1 <= r <= k+1, recorded residuals (0, 0)"),
+    ]
+    assert [c.status for c in ones if c.name.endswith("r=2 n=5")] == ["pass", "pass"]
+    moment = identities.run_moment_identity_grid(GridSpec(k=(1, 1), n=(4, 4), b=(1, 3)))
+    assert skips(moment) == [
+        ("moment-recurrence k=1 b=1 n=4",
+         "b-direction probes b+1 > k, recorded residual -1/2; k-direction residual 0"),
+        ("moment-sum k=1 b=2 n=4", "outside 0 <= b <= k, recorded value 1/2"),
+        ("moment-recurrence k=1 b=2 n=4", "outside 0 <= b <= k, recorded residuals (1/2, -1/2)"),
+        ("moment-sum k=1 b=3 n=4", "outside 0 <= b <= k, recorded value 0"),
+        ("moment-recurrence k=1 b=3 n=4", "outside 0 <= b <= k, recorded residuals (3/4, 0)"),
+    ]
 
 
 def test_convolution_wrong(monkeypatch):

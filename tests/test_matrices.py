@@ -127,11 +127,6 @@ def test_mat_mul():
         mat_mul(Matrix.identity(2), Matrix.identity(3))
 
 
-def test_matrix_json_encoding():
-    m = Matrix.from_rows([[1, Fraction(1, 2)], [Fraction(-3, 4), 0]])
-    assert m.to_json() == [["1", "1/2"], ["-3/4", "0"]]
-
-
 def test_rectangular_validation():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [3]])

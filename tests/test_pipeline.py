@@ -59,6 +59,11 @@ def test_kernels_by_solve():
         assert kernel_by_solve(k) == expected
 
 
+def test_kernel_by_solve_rejects_negative_k():
+    with pytest.raises(ValueError, match=r"^k must be nonnegative, got k=-1$"):
+        kernel_by_solve(-1)
+
+
 def test_kernels_match_oracle():
     for k in range(0, 5):
         assert kernel_by_solve(k) == component_counts(2 * k, k)
