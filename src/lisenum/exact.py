@@ -11,6 +11,8 @@ when the denominator is 1).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 
 def exact_div(a: int, b: int) -> int:
@@ -48,3 +50,15 @@ def falling_factorial(n: int, i: int) -> int:
         raise ValueError(f"falling_factorial undefined for i > n: ({n}, {i})")
     return math.perm(n, i)
 
+
+def integer_rows(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
+    """Clear denominators row by row: ``(rows_of_ints, scale)``, each row
+    times the lcm of its denominators and ``scale`` the product of those
+    multipliers, so det(rows) = det(rows_of_ints) / scale."""
+    scale = 1
+    out = []
+    for row in rows:
+        mult = math.lcm(*(x.denominator for x in row))
+        scale *= mult
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out, scale

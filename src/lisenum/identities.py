@@ -60,15 +60,12 @@ def ones_product_entry(k: int, r: int, n: int) -> Fraction:
     """
     _check_pole(k, n)
     return sum(
-        (
-            (-1) ** (k + r + j)
-            * Fraction(n - 1, n - j)
-            * binomial(n - 2, k)
-            * binomial(k, j - 1)
-            * binomial(n - j - 1, r - 1)
-            for j in range(1, k + 2)
-        ),
-        Fraction(0),
+        (-1) ** (k + r + j)
+        * Fraction(n - 1, n - j)
+        * binomial(n - 2, k)
+        * binomial(k, j - 1)
+        * binomial(n - j - 1, r - 1)
+        for j in range(1, k + 2)
     )
 
 
@@ -105,14 +102,11 @@ def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
     if nb == 0:
         raise ValueError(f"binomial({n}, {b}) vanishes; the normalized sum is undefined")
     return sum(
-        (
-            (-1) ** (k + j - 1)
-            * Fraction((n - 1) * binomial(n - 2, k), (n - j) * nb)
-            * binomial(k, j - 1)
-            * binomial(j, b)
-            for j in range(1, k + 2)
-        ),
-        Fraction(0),
+        (-1) ** (k + j - 1)
+        * Fraction((n - 1) * binomial(n - 2, k), (n - j) * nb)
+        * binomial(k, j - 1)
+        * binomial(j, b)
+        for j in range(1, k + 2)
     )
 
 
@@ -141,11 +135,8 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
     if n == 1 or binomial(n - 2, k) == 0:
         raise ValueError(f"right side undefined at n={n}, k={k}")
     lhs = sum(
-        (
-            Fraction((-1) ** (j - 1), n - j) * binomial(k, j - 1) * binomial(j, b)
-            for j in range(1, k + 2)
-        ),
-        Fraction(0),
+        Fraction((-1) ** (j - 1), n - j) * binomial(k, j - 1) * binomial(j, b)
+        for j in range(1, k + 2)
     )
     rhs = Fraction((-1) ** k, n - 1) * Fraction(binomial(n, b), binomial(n - 2, k))
     return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lemmaC", "lhs={got} rhs={want}")

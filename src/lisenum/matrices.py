@@ -10,9 +10,15 @@ problem, all of size (k+1) x (k+1):
 * ``counting_row(k, n)``    is the row functional with row . matrix = ones,
   so that row . initial_vector is the total count.
 
+Entries are ``int`` or ``Fraction`` values kept as given (anything else
+raises ``ValueError``); a ``Fraction`` appears only where a rational
+enters, so the structured matrices and their products stay ``int``.
+
 Determinants come from two independent engines, fraction-free Bareiss
 elimination and Dodgson condensation, which are cross-checked against
-each other throughout the test suite.  Two solvers share no code:
+each other throughout the test suite.  Both clear denominators once
+(``exact.integer_rows``), run on integers with exact divisions and
+return a ``Fraction``.  Two solvers share no code:
 ``solve_bareiss`` (one fraction-free elimination of the augmented
 system, then back substitution; O(k^3)) is route 3's kernel solve, and
 ``solve_cramer`` (k+2 column-replacement determinants; O(k^4)) is route
@@ -27,31 +33,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import binomial, exact_div
+from .exact import binomial, exact_div, integer_rows
 from .report import CheckResult, expect_entries
 
-Vector = tuple[Fraction, ...]
+Exact = int | Fraction
+Vector = tuple[Exact, ...]
 
 
 class SingularMatrixError(ValueError):
     """Raised when a solve meets a vanishing determinant."""
 
 
+def _exact(values: Sequence[Exact], size: int, what: str) -> Vector:
+    """``values`` as a tuple, once its length is ``size`` and every entry
+    is an ``int`` or a ``Fraction``; ``what`` names it in the error."""
+    values = tuple(values)
+    if len(values) != size:
+        raise ValueError(f"dimension mismatch: {what} has {len(values)} entries, expected {size}")
+    for x in values:
+        # type() rather than isinstance(): a bool is not a matrix entry
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValueError(f"{what}: entry {x!r} is not an int or a Fraction")
+    return values
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of ``int``/``Fraction`` entries, kept as given."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[Vector, ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int | Fraction]]) -> "Matrix":
+    def from_rows(rows: Sequence[Sequence[Exact]]) -> "Matrix":
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
-        for r, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"row {r + 1} has {len(row)} entries, expected {width}")
-        return Matrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return Matrix(tuple(_exact(row, width, f"row {r}") for r, row in enumerate(rows, 1)))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -68,52 +85,39 @@ class Matrix:
         return len(self.entries[0])
 
 
+def _dot(u: Vector, v: Vector) -> Exact:
+    return sum(x * y for x, y in zip(u, v))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return Matrix.from_rows(
-        [
-            [sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) for j in range(b.cols)]
-            for i in range(a.rows)
-        ]
-    )
+    columns = tuple(zip(*b.entries))
+    return Matrix(tuple(tuple(_dot(row, col) for col in columns) for row in a.entries))
 
 
-def row_times_matrix(u: Sequence[int | Fraction], a: Matrix) -> Vector:
-    if len(u) != a.rows:
-        raise ValueError(f"dimension mismatch: row of length {len(u)} times {a.rows}x{a.cols}")
-    return tuple(
-        sum((Fraction(u[t]) * a.entries[t][j] for t in range(a.rows)), Fraction(0))
-        for j in range(a.cols)
-    )
+def row_times_matrix(u: Sequence[Exact], a: Matrix) -> Vector:
+    u = _exact(u, a.rows, "row vector")
+    return tuple(_dot(u, col) for col in zip(*a.entries))
 
 
-def matrix_times_vector(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
-    if len(v) != a.cols:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times vector of length {len(v)}")
-    return tuple(
-        sum((a.entries[i][t] * Fraction(v[t]) for t in range(a.cols)), Fraction(0))
-        for i in range(a.rows)
-    )
+def matrix_times_vector(a: Matrix, v: Sequence[Exact]) -> Vector:
+    v = _exact(v, a.cols, "vector")
+    return tuple(_dot(row, v) for row in a.entries)
 
 
-def dot(u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence[Exact], v: Sequence[Exact]) -> Exact:
+    u = _exact(u, len(v), "first vector")
+    return _dot(u, _exact(v, len(u), "second vector"))
 
 
-def replace_column(a: Matrix, col: int, v: Sequence[int | Fraction]) -> Matrix:
+def replace_column(a: Matrix, col: int, v: Sequence[Exact]) -> Matrix:
     """Copy of ``a`` with 0-based column ``col`` replaced by ``v``."""
-    if len(v) != a.rows:
-        raise ValueError(f"dimension mismatch: column of length {len(v)} into {a.rows} rows")
+    v = _exact(v, a.rows, "column")
     if not 0 <= col < a.cols:
         raise ValueError(f"column {col} out of range for {a.cols} columns")
-    # the kept entries are Fractions already; only the new column is converted
-    return Matrix(
-        tuple(row[:col] + (Fraction(x),) + row[col + 1:] for row, x in zip(a.entries, v))
-    )
+    return Matrix(tuple(row[:col] + (x,) + row[col + 1:] for row, x in zip(a.entries, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +135,7 @@ def det_bareiss(a: Matrix) -> Fraction:
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    scale = 1
-    m: list[list[int]] = []
-    for row in a.entries:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        m.append([x.numerator * (mult // x.denominator) for x in row])
+    m, scale = integer_rows(a.entries)
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -166,45 +165,42 @@ def det_bareiss(a: Matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def _contiguous_minor(a: Matrix, top: int, left: int, size: int) -> Matrix:
-    return Matrix(tuple(row[left:left + size] for row in a.entries[top:top + size]))
-
-
 def det_dodgson(a: Matrix) -> Fraction:
-    """Determinant by Dodgson condensation.
+    """Determinant by Dodgson condensation on the integer rows.
 
     Stage s holds every contiguous s x s minor; the condensation step
-    divides by the interior entries of the stage two sizes down.  When
-    such an interior entry is zero the affected minor is recomputed with
-    :func:`det_bareiss` and condensation continues, so the result is
-    always defined and always equals the Bareiss determinant.
+    divides by the interior entries of the stage two sizes down.  Each
+    entry is a minor (Desnanot-Jacobi), so every division is exact and
+    ``exact_div`` raises if one is not.  A zero interior entry sends the
+    affected minor to :func:`det_bareiss`, so the result is always defined.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    prev: list[list[Fraction]] = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]
-    curr: list[list[Fraction]] = [list(row) for row in a.entries]
+    m, scale = integer_rows(a.entries)
+    prev, curr = [[1] * (n + 1) for _ in range(n + 1)], m
     for size in range(2, n + 1):
         width = n - size + 1
-        nxt: list[list[Fraction]] = []
+        nxt: list[list[int]] = []
         for i in range(width):
-            out_row: list[Fraction] = []
+            out_row: list[int] = []
             for j in range(width):
                 divisor = prev[i + 1][j + 1]
                 if divisor == 0:
-                    out_row.append(det_bareiss(_contiguous_minor(a, i, j, size)))
+                    minor = Matrix(tuple(tuple(row[j:j + size]) for row in m[i:i + size]))
+                    out_row.append(det_bareiss(minor).numerator)
                 else:
                     numerator = (
                         curr[i][j] * curr[i + 1][j + 1]
                         - curr[i][j + 1] * curr[i + 1][j]
                     )
-                    out_row.append(numerator / divisor)
+                    out_row.append(exact_div(numerator, divisor))
             nxt.append(out_row)
         prev, curr = curr, nxt
-    return curr[0][0]
+    return Fraction(curr[0][0], scale)
 
 
-def solve_bareiss(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
+def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
     """Solve a x = v by one fraction-free elimination (Bareiss 1968).
 
     Each row of the augmented matrix [a | v] is cleared of denominators,
@@ -217,14 +213,9 @@ def solve_bareiss(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
     """
     if a.rows != a.cols:
         raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
-    if len(v) != a.rows:
-        raise ValueError(f"dimension mismatch: vector of length {len(v)} for {a.rows} rows")
+    v = _exact(v, a.rows, "right-hand side")
     n = a.rows
-    m: list[list[int]] = []
-    for row, rhs in zip(a.entries, v):
-        aug = (*row, Fraction(rhs))
-        mult = math.lcm(*(x.denominator for x in aug))
-        m.append([x.numerator * (mult // x.denominator) for x in aug])
+    m, _ = integer_rows(row + (rhs,) for row, rhs in zip(a.entries, v))
     prev = 1
     for t in range(n):
         pi = next((i for i in range(t, n) if m[i][t]), None)
@@ -244,14 +235,14 @@ def solve_bareiss(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
                 row[j] = q
             row[t] = 0
         prev = p
-    x: list[Fraction] = [Fraction(0)] * n
+    x: list[Exact] = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / Fraction(row[i])
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
     return tuple(x)
 
 
-def solve_cramer(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
+def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     """Solve a x = v by column-replacement determinants.
 
     This is route 4's method: against the unit-determinant component
@@ -261,8 +252,7 @@ def solve_cramer(a: Matrix, v: Sequence[int | Fraction]) -> Vector:
     """
     if a.rows != a.cols:
         raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
-    if len(v) != a.rows:
-        raise ValueError(f"dimension mismatch: vector of length {len(v)} for {a.rows} rows")
+    v = _exact(v, a.rows, "right-hand side")
     d = det_bareiss(a)
     if d == 0:
         raise SingularMatrixError("cannot solve: determinant is 0")

@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial
+from typing import Iterator
 
 from . import identities, matrices, oracle
 from .exact import binomial, falling_factorial
@@ -89,16 +90,6 @@ def kernel_by_solve(k: int) -> list[int]:
     return list(_kernel_by_solve(k))
 
 
-def _as_int_vector(values, context: str) -> list[int]:
-    out = []
-    for j, x in enumerate(values, start=1):
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ArithmeticError(f"{context}: entry {j} is non-integral ({f})")
-        out.append(int(f))
-    return out
-
-
 def _next_column(vec: tuple[int, ...]) -> tuple[int, ...]:
     """The component vector at n+1 from the one at n: entry i becomes
     the tail sum of entries i..k+1."""
@@ -114,11 +105,15 @@ def components(n: int, k: int, method: str = "recursion") -> list[int]:
             vec = _next_column(vec)
         return list(vec)
     if method == "transfer_matrix":
-        vec = matrix_times_vector(transfer_matrix(n, k), _kernel_by_solve(k))
-        return _as_int_vector(vec, f"transfer components at n={n}, k={k}")
+        return list(matrix_times_vector(transfer_matrix(n, k), _kernel_by_solve(k)))
     if method == "cramer":
         vec = solve_cramer(component_matrix(k, n), initial_vector(k))
-        return _as_int_vector(vec, f"determinant components at n={n}, k={k}")
+        for j, x in enumerate(vec, start=1):
+            if x.denominator != 1:
+                raise ArithmeticError(
+                    f"determinant components at n={n}, k={k}: entry {j} is non-integral ({x})"
+                )
+        return [x.numerator for x in vec]
     if method == "oracle":
         return oracle.component_counts(n, k)
     raise ValueError(f"unknown component method {method!r}; use one of {COMPONENT_METHODS}")
@@ -168,22 +163,21 @@ class ComponentTable:
         """Component row i, 1-based."""
         return tuple(col[i - 1] for col in self.columns)
 
-    def render_markdown(self) -> str:
-        header = ["component"] + [f"n={n}" for n in self.n_values]
-        lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+    def _label_rows(self, mark: str) -> Iterator[list[str]]:
+        """Header, component and total rows as text; ``mark`` prefixes labels."""
+        yield ["component"] + [f"n={n}" for n in self.n_values]
         for i in range(1, self.k + 2):
-            lines.append(
-                "| " + " | ".join([f"#B({i})"] + [str(v) for v in self.row(i)]) + " |"
-            )
-        lines.append("| " + " | ".join(["#A"] + [str(v) for v in self.totals]) + " |")
-        return "\n".join(lines)
+            yield [f"{mark}B({i})"] + [str(v) for v in self.row(i)]
+        yield [f"{mark}A"] + [str(v) for v in self.totals]
+
+    def render_markdown(self) -> str:
+        rows = self._label_rows("#")
+        header = next(rows)
+        lines = chain([header, ["---"] * len(header)], rows)
+        return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
     def render_csv(self) -> str:
-        lines = [",".join(["component"] + [f"n={n}" for n in self.n_values])]
-        for i in range(1, self.k + 2):
-            lines.append(",".join([f"B({i})"] + [str(v) for v in self.row(i)]))
-        lines.append(",".join(["A"] + [str(v) for v in self.totals]))
-        return "\n".join(lines)
+        return "\n".join(",".join(row) for row in self._label_rows(""))
 
     def to_json(self) -> dict:
         # counts as decimal strings: they outgrow 64-bit consumers quickly

@@ -1,6 +1,10 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,21 @@ def test_enumerate_prefix_out_of_range(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--k", "2", "--prefix", "5")
     assert code == 2
     assert "prefix" in err
+
+
+def test_enumerate_into_closed_pipe_exits_2():
+    # the reader takes one line and leaves, as `| head -1` does
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+        [sys.executable, "-m", "lisenum", "enumerate", "--n", "12", "--k", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "1,2,3,4,5,12,11,10,9,8,7,6\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert "error: [Errno 32] Broken pipe" in err.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/,
+and the README's library quickstart still prints what it shows."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,14 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_doctest():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    test = doctest.DocTestParser().get_doctest(blocks[0], {}, "README quickstart", "README.md", 0)
+    assert test.examples
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False).failed == 0

@@ -143,6 +143,23 @@ def test_dodgson_engine_wrong(monkeypatch):
     ]
 
 
+def test_dodgson_fallback_wrong_is_caught(monkeypatch):
+    # the zero at (2, 2) sends the top-left 3x3 minor to the Bareiss
+    # fallback; a wrong minor makes the next condensation step inexact
+    m = Matrix.from_rows([[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]])
+    assert matrices.det_dodgson(m) == matrices.det_bareiss(m) == 45
+    real = matrices.det_bareiss
+    monkeypatch.setattr(matrices, "det_bareiss", lambda minor: real(minor) + 1)
+    with pytest.raises(ValueError, match=r"inexact division: -69 / -2 leaves remainder -1"):
+        matrices.det_dodgson(m)
+
+
+def test_cramer_components_non_integral(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_cramer", lambda a, v: (Fraction(2), Fraction(1, 2)))
+    with pytest.raises(ArithmeticError, match=r"n=3, k=1: entry 2 is non-integral \(1/2\)"):
+        pipeline.components(3, 1, "cramer")
+
+
 def test_det_product_mismatch(monkeypatch):
     real = matrices.binomial_det_product
     monkeypatch.setattr(matrices, "binomial_det_product", lambda k, x, y: real(k, x, y) + 1)

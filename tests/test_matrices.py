@@ -16,18 +16,23 @@ from lisenum import (
     check_counting_row,
     check_transfer_consistency,
     component_matrix,
+    components,
     counting_row,
     det_bareiss,
     det_dodgson,
+    dot,
     initial_vector,
     kernel_matrix,
     mat_mul,
+    matrix_times_vector,
     row_times_matrix,
     shifted_binomial_matrix,
     solve_bareiss,
     solve_cramer,
     transfer_matrix,
 )
+from lisenum.matrices import replace_column
+from lisenum.pipeline import COMPONENT_METHODS
 
 
 def det_leibniz(m: Matrix) -> Fraction:
@@ -128,10 +133,83 @@ def test_mat_mul():
 
 
 def test_rectangular_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: row 2 has 1 entries, expected 2"):
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix.from_rows([])
+
+
+# ---------------------------------------------------------------------------
+# data format: exact values kept as given
+# ---------------------------------------------------------------------------
+
+def all_int(values):
+    return all(type(x) is int for x in values)
+
+
+def entries_are_int(m: Matrix) -> bool:
+    return all(all_int(row) for row in m.entries)
+
+
+def test_structured_matrices_and_products_hold_ints():
+    for k in range(0, 6):
+        built = [kernel_matrix(k), shifted_binomial_matrix(k, -2, 1)]
+        for n in (2 * k, 2 * k + 1, 2 * k + 7):
+            built += [component_matrix(k, n), transfer_matrix(n, k)]
+        assert all(entries_are_int(m) for m in built), k
+        assert all(entries_are_int(mat_mul(a, b)) for a in built for b in built), k
+        assert all_int(matrix_times_vector(transfer_matrix(2 * k + 3, k), initial_vector(k)))
+        assert all_int(row_times_matrix(initial_vector(k), kernel_matrix(k)))
+        assert type(dot(initial_vector(k), initial_vector(k))) is int
+
+
+def test_components_are_ints_for_every_method():
+    for k, n in ((0, 0), (1, 3), (2, 6), (3, 9), (4, 11)):
+        for method in COMPONENT_METHODS:
+            assert all_int(components(n, k, method)), (n, k, method)
+
+
+def test_rationals_are_kept_and_promote():
+    half = Fraction(1, 2)
+    m = Matrix.from_rows([[half, 1], [0, 2]])
+    assert m.entries == ((half, 1), (0, 2))
+    assert type(m.entries[0][1]) is int
+    assert row_times_matrix((2, 1), m) == (1, 4)
+    assert type(row_times_matrix((2, 1), m)[0]) is Fraction
+    assert dot((half, 1), (2, 3)) == 4
+
+
+I2 = Matrix.identity(2)
+NOT_EXACT_CALLS = {
+    "from_rows": lambda bad: Matrix.from_rows([[1, bad], [0, 1]]),
+    "replace_column": lambda bad: replace_column(I2, 0, (bad, 1)),
+    "row_times_matrix": lambda bad: row_times_matrix((1, bad), I2),
+    "matrix_times_vector": lambda bad: matrix_times_vector(I2, (bad, 1)),
+    "dot left": lambda bad: dot((bad,), (1,)),
+    "dot right": lambda bad: dot((1,), (bad,)),
+    "solve_bareiss": lambda bad: solve_bareiss(I2, (1, bad)),
+    "solve_cramer": lambda bad: solve_cramer(I2, (bad, 1)),
+}
+
+
+# a float would carry its binary rounding into every exact result
+@pytest.mark.parametrize("bad", (0.1, "1", True), ids=repr)
+@pytest.mark.parametrize("entry", NOT_EXACT_CALLS)
+def test_non_exact_entries_are_refused(entry, bad):
+    with pytest.raises(ValueError, match=f"entry {bad!r} is not an int or a Fraction"):
+        NOT_EXACT_CALLS[entry](bad)
+
+
+def test_vector_length_mismatches():
+    m = Matrix.identity(2)
+    for call in (
+        lambda: row_times_matrix((1, 2, 3), m),
+        lambda: matrix_times_vector(m, (1,)),
+        lambda: dot((1, 2), (1,)),
+        lambda: dot((1,), (1, 2)),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +322,6 @@ def test_solve_cramer_random_against_residual():
 
 
 def test_replace_column():
-    from lisenum.matrices import replace_column
-
     m = Matrix.from_rows([[1, 2], [3, 4]])
     half = Fraction(1, 2)
     assert replace_column(m, 1, (half, 7)) == Matrix.from_rows([[1, half], [3, 7]])
