@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import binomial
 from .report import PASS, CheckResult, expect, expect_within, failed, passed, skipped
@@ -51,6 +52,8 @@ def vandermonde_chu_check(a: int, b: int, x: int) -> CheckResult:
     return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lemmaA", "lhs={got} rhs={want}")
 
 
+# the recurrence residuals evaluate each value again at neighbouring points
+@lru_cache(maxsize=None)
 def ones_product_entry(k: int, r: int, n: int) -> Fraction:
     """sum_{j=1..k+1} (-1)^(k+r+j) (n-1)/(n-j) binomial(n-2, k)
     binomial(k, j-1) binomial(n-j-1, r-1).
@@ -90,6 +93,8 @@ def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, F
     return first, second
 
 
+# cached for the same reason as ones_product_entry
+@lru_cache(maxsize=None)
 def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
     """sum_{j=1..k+1} (-1)^(k+j-1) (n-1) binomial(n-2, k)
     / ((n-j) binomial(n, b)) * binomial(k, j-1) binomial(j, b).

@@ -59,16 +59,25 @@ def _exact(values: Sequence[Exact], size: int, what: str) -> Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of ``int``/``Fraction`` entries, kept as given."""
+    """Immutable dense matrix of ``int``/``Fraction`` entries, kept as given.
+
+    The constructor takes any non-empty sequence of equally long rows,
+    stores them as tuples and refuses any other entry with ``ValueError``.
+    """
 
     entries: tuple[Vector, ...]
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Exact]]) -> "Matrix":
+    def __post_init__(self) -> None:
+        rows = tuple(self.entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
-        return Matrix(tuple(_exact(row, width, f"row {r}") for r, row in enumerate(rows, 1)))
+        entries = tuple(_exact(row, width, f"row {r}") for r, row in enumerate(rows, 1))
+        object.__setattr__(self, "entries", entries)
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Exact]]) -> "Matrix":
+        return Matrix(rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":

@@ -30,9 +30,10 @@ appends.  If none does, placing the largest value left keeps the
 condition.  In particular the prefix ends in n.
 
 The walk cuts every node that breaks the condition, so each node it
-keeps has a member below it.  Counting adds up leaves and builds no
-tuple.  ``lis_length`` stays the definition behind ``is_member``, and
-the tests compare the walk with a filter of all n! permutations.
+keeps has a member below it.  Only listing walks; counting memoizes
+the count below a node on its state word (``_count_word``), as in
+West's generating trees (1996).  ``is_member`` rests on ``lis_length``,
+and the tests compare the walk with a filter of all n! permutations.
 """
 
 from __future__ import annotations
@@ -151,22 +152,23 @@ def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[Per
         tails[pos] = old
 
 
-def _count_below(tails: list[int], rest: list[int]) -> int:
-    """How many members ``_place`` would yield from the same node."""
-    if rest and rest[-1] > tails[-1]:
-        return 0
-    if len(rest) <= 1:
+@lru_cache(maxsize=None)
+def _count_word(word: str) -> int:
+    """How many members ``_place`` would yield from the node spelt by
+    ``word``: ``"0"`` for a tail and ``"1"`` for a value still to place,
+    by increasing value, leading ``"0"``s dropped (no value left can
+    replace them).  Placing the value at p drops the first ``"0"`` after
+    p, the tail that ``bisect_left`` replaces, and turns p into a tail.
+    """
+    if not word:
         return 1
-    if len(rest) == 2:
-        # the two orders of _place
-        return 1 + (len(tails) > 1 and rest[0] < tails[-2])
-    total = 0
-    for j, v in enumerate(rest):
-        pos = bisect_left(tails, v)
-        old, tails[pos] = tails[pos], v
-        total += _count_below(tails, rest[:j] + rest[j + 1:])
-        tails[pos] = old
-    return total
+    if word[-1] == "1":
+        # the pruning lemma: a value left lies above tails[-1]
+        return 0
+    return sum(
+        _count_word((word[:p] + "0" + word[p + 1:].replace("0", "", 1)).lstrip("0"))
+        for p, c in enumerate(word) if c == "1"
+    )
 
 
 def _iter_component(n: int, k: int, first: int) -> Iterator[Perm]:
@@ -212,21 +214,19 @@ def enumerate_with_prefix(n: int, k: int, i: int) -> list[Perm]:
     return list(iter_class(n, k, i))
 
 
-@lru_cache(maxsize=None)
-def _component_counts(n: int, k: int) -> tuple[int, ...]:
-    if n == 0:
-        # the empty permutation occupies the single slot of the k = 0 vector
-        return (1,)
-    return tuple(
-        sum(_count_below(prefix, rest) for prefix, rest in _roots(n, k, first))
-        for first in range(1, k + 2)
-    )
-
-
 def component_counts(n: int, k: int) -> list[int]:
     """The vector [#B(1), ..., #B(k+1)] by direct counting."""
     check_size(n, k)
-    return list(_component_counts(n, k))
+    if n == 0:
+        # the empty permutation occupies the single slot of the k = 0 vector
+        return [1]
+    return [
+        sum(
+            _count_word("".join("1" if v in rest else "0" for v in range(1, n + 1)).lstrip("0"))
+            for _, rest in _roots(n, k, first)
+        )
+        for first in range(1, k + 2)
+    ]
 
 
 def insert_prefix(mu: Sequence[int], i: int) -> Perm:

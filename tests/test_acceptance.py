@@ -85,10 +85,10 @@ def test_criterion_2_formula_vs_enumeration():
 
 def test_criterion_3_kernel_conjecture():
     def body():
-        for k in range(0, 6):
+        for k in range(0, 9):
             assert kernel_by_solve(k) == component_counts(2 * k, k), k
 
-    run_criterion(3, "solved kernel equals brute-forced kernel (k<=5)", 5.0, body)
+    run_criterion(3, "solved kernel equals brute-forced kernel (k<=8)", 5.0, body)
 
 
 def test_criterion_4_component_pipelines():

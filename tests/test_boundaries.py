@@ -1,0 +1,48 @@
+"""The routes share no code beyond ``exact``: each route module may import
+only the package modules pinned here, read from its source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
+
+ALLOWED = {
+    "exact": set(),
+    "report": set(),
+    "oracle": {"report"},
+    "matrices": {"exact", "report"},
+    "identities": {"exact", "report"},
+}
+
+
+def package_imports(module: str) -> set[str]:
+    """Top-level package modules that ``module`` imports, wherever it does."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = f"lisenum.{source}".rstrip(".")
+            if source == "lisenum":
+                # from . import a, b: each name is a module
+                names = [f"lisenum.{alias.name}" for alias in node.names]
+            else:
+                names = [source]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("lisenum.")}
+    return found
+
+
+@pytest.mark.parametrize("module", ALLOWED)
+def test_route_module_imports(module):
+    assert package_imports(module) <= ALLOWED[module]
+
+
+def test_the_scan_sees_package_imports():
+    assert package_imports("pipeline") >= {"exact", "identities", "matrices", "oracle", "report"}
+    assert package_imports("cli") >= {"identities", "oracle", "pipeline"}

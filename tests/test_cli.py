@@ -157,7 +157,7 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     def entered(*args):
         raise AssertionError("the brute-force walk was entered")
 
-    for name in ("_roots", "_iter_members", "_iter_component", "_component_counts"):
+    for name in ("_roots", "_iter_members", "_iter_component", "_count_word"):
         monkeypatch.setattr(oracle, name, entered)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

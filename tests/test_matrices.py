@@ -137,6 +137,17 @@ def test_rectangular_validation():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix.from_rows([])
+    for empty in ((), ((),), [[]]):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            Matrix(empty)
+
+
+def test_constructor_is_from_rows():
+    m = Matrix(([1, 2], [3, 4]))
+    assert m == Matrix.from_rows([[1, 2], [3, 4]])
+    assert m.entries == ((1, 2), (3, 4))
+    assert hash(m) == hash(Matrix.from_rows([[1, 2], [3, 4]]))
+    assert det_bareiss(m) == det_dodgson(m) == -2
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +192,7 @@ def test_rationals_are_kept_and_promote():
 
 I2 = Matrix.identity(2)
 NOT_EXACT_CALLS = {
+    "Matrix": lambda bad: Matrix(((1, bad), (0, 1))),
     "from_rows": lambda bad: Matrix.from_rows([[1, bad], [0, 1]]),
     "replace_column": lambda bad: replace_column(I2, 0, (bad, 1)),
     "row_times_matrix": lambda bad: row_times_matrix((1, bad), I2),

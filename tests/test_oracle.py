@@ -17,7 +17,8 @@ from lisenum import (
     is_member,
     lis_length,
 )
-from lisenum.oracle import candidate_count
+from lisenum import oracle
+from lisenum.oracle import candidate_count, iter_class
 
 
 def lis_exhaustive(mu):
@@ -152,6 +153,21 @@ def test_walks_match_candidate_scan(n, k):
     if n > 0:
         firsts = Counter(mu[0] for mu in members)
         assert component_counts(n, k) == [firsts[i] for i in range(1, k + 2)]
+
+
+@pytest.mark.parametrize("n, k", [(12, 6), (14, 5)])
+def test_counting_matches_listing_beyond_the_scan(n, k):
+    firsts = Counter(mu[0] for mu in iter_class(n, k))
+    assert component_counts(n, k) == [firsts[i] for i in range(1, k + 2)]
+
+
+def test_counting_never_walks(monkeypatch):
+    def walk(*args):
+        raise AssertionError("counting entered the walk")
+
+    monkeypatch.setattr(oracle, "_place", walk)
+    oracle._count_word.cache_clear()
+    assert component_counts(12, 6) == [100585, 68334, 42150, 22920, 10440, 3600, 720]
 
 
 def test_enumerate_with_prefix():
