@@ -12,10 +12,10 @@ at most n-k.  This walkthrough counts it by
 and shows that all four agree, entry by entry.
 """
 
-from lisenum import components, count, enumerate_class, format_perm
+from lisenum import components, count, format_perm, iter_class
 
 print("The five members at (n=4, k=2):")
-for mu in enumerate_class(4, 2):
+for mu in iter_class(4, 2):
     print(" ", format_perm(mu))
 
 print("\nCounting (n=9, k=3) by every route:")

@@ -37,7 +37,7 @@ for label, solve in (("elimination", solve_bareiss), ("cramer", solve_cramer)):
 
 print("\nCondensation needs interior entries to be nonzero; the all-ones")
 print("matrix has none, so every step falls back to Bareiss minors:")
-ones = Matrix.from_rows([[1] * 4 for _ in range(4)])
+ones = Matrix([[1] * 4 for _ in range(4)])
 print(f"  det (dodgson, via fallback) = {det_dodgson(ones)}")
 
 print("\nThe parameterized binomial determinant and its closed product form:")

@@ -10,15 +10,15 @@ component count at n+1 is a tail sum of the counts at n.
 from lisenum import (
     check_insertion_bijection,
     component_counts,
-    enumerate_with_prefix,
     format_perm,
     insert_prefix,
+    iter_class,
 )
 
 N, K = 4, 2
 
 print(f"Members at (n={N}, k={K}), grouped by first entry:")
-sources = {r: enumerate_with_prefix(N, K, r) for r in range(1, K + 2)}
+sources = {r: list(iter_class(N, K, r)) for r in range(1, K + 2)}
 for r, members in sources.items():
     print(f"  B({r}): {[format_perm(mu) for mu in members] or '(empty)'}")
 
@@ -34,7 +34,7 @@ for i in range(1, K + 2):
 
 print(f"\nEnumerated afresh at (n={N + 1}, k={K}) for comparison:")
 for i in range(1, K + 2):
-    print(f"  B({i}): {[format_perm(mu) for mu in enumerate_with_prefix(N + 1, K, i)]}")
+    print(f"  B({i}): {[format_perm(mu) for mu in iter_class(N + 1, K, i)]}")
 
 result = check_insertion_bijection(N, K)
 print(f"\nbijection check: {result.status}")

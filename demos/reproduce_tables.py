@@ -11,8 +11,8 @@ from lisenum import component_table, kernel_by_solve
 
 for k, n_from, n_to in ((1, 2, 6), (2, 4, 9), (3, 6, 11)):
     print(f"k = {k}, kernel column (n = {2 * k}): {kernel_by_solve(k)}")
-    print(component_table(k, n_from, n_to).render_markdown())
+    print(component_table(k, n_from, n_to).render("md"))
     print()
 
 print("The same machinery in CSV, ready for a spreadsheet:")
-print(component_table(2, 4, 9).render_csv())
+print(component_table(2, 4, 9).render("csv"))

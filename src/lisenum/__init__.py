@@ -44,11 +44,10 @@ from .matrices import (
 from .oracle import (
     check_insertion_bijection,
     component_counts,
-    enumerate_class,
-    enumerate_with_prefix,
     format_perm,
     insert_prefix,
     is_member,
+    iter_class,
     lis_length,
 )
 from .pipeline import (
@@ -89,14 +88,13 @@ __all__ = [
     "det_bareiss",
     "det_dodgson",
     "dot",
-    "enumerate_class",
-    "enumerate_with_prefix",
     "exact_div",
     "falling_factorial",
     "format_perm",
     "initial_vector",
     "insert_prefix",
     "is_member",
+    "iter_class",
     "kernel_by_solve",
     "kernel_matrix",
     "lis_length",

@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
     grid = None
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as handle:
-            grid = GridSpec.from_json(handle.read())
+            grid = GridSpec.from_dict(json.load(handle))
     k_max = args.k_max if args.k_max is not None else (
         grid.k[1] if grid is not None else DEFAULT_K_MAX
     )

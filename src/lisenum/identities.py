@@ -20,7 +20,6 @@ dropped or asserted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -189,10 +188,6 @@ class GridSpec:
             kwargs[key] = (lo, hi)
         return GridSpec(**kwargs)
 
-    @staticmethod
-    def from_json(text: str) -> "GridSpec":
-        return GridSpec.from_dict(json.loads(text))
-
     def k_values(self) -> range:
         return range(max(self.k[0], 0), self.k[1] + 1)
 
@@ -222,8 +217,9 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
     for k in spec.k_values():
         for n in spec.n_values(k):
             for r in range(spec.r[0], spec.r[1] + 1):
+                inside = 1 <= r <= k + 1
                 results.append(expect_within(
-                    f"ones-entry k={k} r={r} n={n}", r <= k + 1, ones_product_entry(k, r, n),
+                    f"ones-entry k={k} r={r} n={n}", inside, ones_product_entry(k, r, n),
                     1, "lemmaB", "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
                 ))
                 rname = f"ones-recurrence k={k} r={r} n={n}"
@@ -233,7 +229,7 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaB"))
                     continue
                 results.append(expect_within(
-                    rname, r <= k + 1, residuals, (0, 0), "lemmaB",
+                    rname, inside, residuals, (0, 0), "lemmaB",
                     "residuals ({got[0]}, {got[1]})",
                     "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
                 ))

@@ -76,12 +76,8 @@ class Matrix:
         object.__setattr__(self, "entries", entries)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Exact]]) -> "Matrix":
-        return Matrix(rows)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_rows(
+        return Matrix(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
@@ -281,7 +277,7 @@ def transfer_matrix(n: int, k: int) -> Matrix:
     """
     if k < 0 or n < 2 * k:
         raise ValueError(f"n >= 2k violated: n={n}, k={k}")
-    return Matrix.from_rows(
+    return Matrix(
         [
             [binomial(r + n - 2 * k - i - 1, r - i) for r in range(1, k + 2)]
             for i in range(1, k + 2)
@@ -298,7 +294,7 @@ def kernel_matrix(k: int) -> Matrix:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got k={k}")
-    return Matrix.from_rows(
+    return Matrix(
         [
             [binomial(i + j - 2 * k - 1, j - 1) for j in range(1, k + 2)]
             for i in range(1, k + 2)
@@ -313,7 +309,7 @@ def component_matrix(k: int, n: int) -> Matrix:
     """
     if k < 0 or n < 2 * k:
         raise ValueError(f"n >= 2k violated: n={n}, k={k}")
-    return Matrix.from_rows(
+    return Matrix(
         [
             [(-1) ** (j - 1) * binomial(n - i - 1, j - 1) for j in range(1, k + 2)]
             for i in range(1, k + 2)
@@ -368,7 +364,7 @@ def shifted_binomial_matrix(k: int, x: int, y: int) -> Matrix:
     """(k+1) x (k+1) matrix with entry (i, j) = binomial(i+j+x+y, i+x)."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got k={k}")
-    return Matrix.from_rows(
+    return Matrix(
         [
             [binomial(i + j + x + y, i + x) for j in range(1, k + 2)]
             for i in range(1, k + 2)

@@ -34,13 +34,15 @@ keeps has a member below it.  Only listing walks; counting memoizes
 the count below a node on its state word (``_count_word``), as in
 West's generating trees (1996).  ``is_member`` rests on ``lis_length``,
 and the tests compare the walk with a filter of all n! permutations.
+``check_insertion_bijection`` compares the walk at n+1 with the images
+of the walk at n under prefix insertion, list against list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -201,19 +203,6 @@ def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
     return _iter_component(n, k, prefix)
 
 
-def enumerate_class(n: int, k: int) -> list[Perm]:
-    """All members at size (n, k), in lexicographic order."""
-    return list(iter_class(n, k))
-
-
-def enumerate_with_prefix(n: int, k: int, i: int) -> list[Perm]:
-    """Members whose first entry is i, in lexicographic order.
-
-    Empty for every i > k+1.  i outside 1..n is a domain error.
-    """
-    return list(iter_class(n, k, i))
-
-
 def component_counts(n: int, k: int) -> list[int]:
     """The vector [#B(1), ..., #B(k+1)] by direct counting."""
     check_size(n, k)
@@ -248,47 +237,24 @@ def insert_prefix(mu: Sequence[int], i: int) -> Perm:
 def check_insertion_bijection(n: int, k: int) -> CheckResult:
     """Verify that prefix insertion is a bijection onto the next column.
 
-    For each target prefix i, the images of the components r = i..k+1 at
-    size n must be pairwise disjoint (they have distinct second entries)
-    and their union must equal the component i at size n+1.
+    Insertion keeps the order of the values it shifts, so the images
+    under target prefix i = 1..k+1 of the members with first entry
+    r >= i, taken in lexicographic order, must list the class at n+1 in
+    lexicographic order.  The first mismatch is the witness, ``none``
+    past the end of either list.
     """
     check_size(n, k)
     if n == 0:
         raise ValueError("insertion is undefined from the empty permutation; need n >= 1")
     name = f"insertion-bijection k={k} n={n}->{n + 1}"
-    by_first: dict[int, list[Perm]] = {r: [] for r in range(1, k + 2)}
-    for mu in _iter_members(n, k):
-        by_first[mu[0]].append(mu)
-    target: dict[int, set[Perm]] = {i: set() for i in range(1, k + 2)}
-    for mu in _iter_members(n + 1, k):
-        if mu[0] <= k + 1:
-            target[mu[0]].add(mu)
-    for i in range(1, k + 2):
-        images: set[Perm] = set()
-        total = 0
-        for r in range(i, k + 2):
-            for mu in by_first[r]:
-                img = insert_prefix(mu, i)
-                if img[1] != r + 1:
-                    return failed(
-                        name,
-                        f"image {format_perm(img)} of {format_perm(mu)} has second "
-                        f"entry {img[1]}, expected {r + 1}",
-                        group="bijection",
-                    )
-                images.add(img)
-                total += 1
-        if len(images) != total:
-            return failed(name, f"images for target prefix {i} collide", group="bijection")
-        if images != target[i]:
-            diff = sorted(images.symmetric_difference(target[i]))
-            return failed(
-                name,
-                f"target prefix {i}: image set and enumeration differ at "
-                f"{format_perm(diff[0])}",
-                group="bijection",
-            )
-    return passed(name, group="bijection")
+    source = list(_iter_members(n, k))
+    images = [insert_prefix(mu, i) for i in range(1, k + 2) for mu in source if mu[0] >= i]
+    members = list(_iter_members(n + 1, k))
+    if images == members:
+        return passed(name, group="bijection")
+    pair = next(pair for pair in zip_longest(images, members) if pair[0] != pair[1])
+    image, member = ("none" if mu is None else format_perm(mu) for mu in pair)
+    return failed(name, f"image {image}, enumerated {member}", group="bijection")
 
 
 def format_perm(mu: Sequence[int]) -> str:

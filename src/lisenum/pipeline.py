@@ -10,6 +10,7 @@ Four independent routes produce the same numbers:
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -170,33 +171,23 @@ class ComponentTable:
             yield [f"{mark}B({i})"] + [str(v) for v in self.row(i)]
         yield [f"{mark}A"] + [str(v) for v in self.totals]
 
-    def render_markdown(self) -> str:
-        rows = self._label_rows("#")
-        header = next(rows)
-        lines = chain([header, ["---"] * len(header)], rows)
-        return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
-
-    def render_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._label_rows(""))
-
-    def to_json(self) -> dict:
-        # counts as decimal strings: they outgrow 64-bit consumers quickly
-        return {
-            "k": self.k,
-            "n_values": list(self.n_values),
-            "components": [[str(v) for v in self.row(i)] for i in range(1, self.k + 2)],
-            "totals": [str(v) for v in self.totals],
-        }
-
     def render(self, fmt: str) -> str:
+        """The table as ``md``, ``csv`` or ``json`` text; JSON counts are
+        decimal strings, since they outgrow 64-bit consumers quickly."""
         if fmt == "md":
-            return self.render_markdown()
+            rows = self._label_rows("#")
+            header = next(rows)
+            lines = chain([header, ["---"] * len(header)], rows)
+            return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
         if fmt == "csv":
-            return self.render_csv()
+            return "\n".join(",".join(row) for row in self._label_rows(""))
         if fmt == "json":
-            import json
-
-            return json.dumps(self.to_json(), indent=2, sort_keys=True)
+            return json.dumps({
+                "k": self.k,
+                "n_values": list(self.n_values),
+                "components": [[str(v) for v in self.row(i)] for i in range(1, self.k + 2)],
+                "totals": [str(v) for v in self.totals],
+            }, indent=2, sort_keys=True)
         raise ValueError(f"unknown table format {fmt!r}; use md, csv or json")
 
 
@@ -244,10 +235,6 @@ def within_budget(n: int, k: int, budget: int) -> bool:
     return oracle.candidate_count(n, k) <= budget
 
 
-def _oracle_allowed(n: int, k: int, budget: int) -> bool:
-    return n <= ORACLE_N_CAP and within_budget(n, k, budget)
-
-
 def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
     """Method agreement, row sums, constant last entry, telescoped count."""
     results = []
@@ -272,7 +259,7 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
             lname = f"last-component k={k} n={n}"
             results.append(expect(lname, recursion[-1], factorial(k), "counts"))
             oname = f"oracle-agree k={k} n={n}"
-            if _oracle_allowed(n, k, budget):
+            if n <= ORACLE_N_CAP and within_budget(n, k, budget):
                 results.append(expect(
                     oname, oracle.component_counts(n, k), recursion, "counts",
                     "oracle={got} recursion={want}",
@@ -403,7 +390,7 @@ def random_integer_matrix(rng: random.Random, dim: int, plant_zero: bool) -> Mat
     rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
     if plant_zero and dim >= 3:
         rows[rng.randint(1, dim - 2)][rng.randint(1, dim - 2)] = 0
-    return Matrix.from_rows(rows)
+    return Matrix(rows)
 
 
 def _suite_dodgson(count_matrices: int = 1000, seed: int = 20240229) -> list[CheckResult]:

@@ -1,10 +1,14 @@
 """The routes share no code beyond ``exact``: each route module may import
-only the package modules pinned here, read from its source with ``ast``."""
+only the package modules pinned here, read from its source with ``ast``.
+The package exports each of its public names exactly once."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import lisenum
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 
@@ -46,3 +50,13 @@ def test_route_module_imports(module):
 def test_the_scan_sees_package_imports():
     assert package_imports("pipeline") >= {"exact", "identities", "matrices", "oracle", "report"}
     assert package_imports("cli") >= {"identities", "oracle", "pipeline"}
+
+
+def test_all_names_each_public_attribute_once():
+    names = lisenum.__all__
+    assert len(names) == len(set(names))
+    public = {
+        name for name, value in vars(lisenum).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(names) == public

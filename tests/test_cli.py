@@ -229,6 +229,14 @@ def test_verify_grid_config(tmp_path, capsys):
     assert "0 failed" in out
 
 
+def test_verify_ones_grid_below_the_window(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"k": [0, 2], "n": [0, 8], "r": [0, 3]}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemmaB", "--grid", str(grid_path))
+    assert code == 0
+    assert out.splitlines()[0] == "suite lemmaB: 74 passed, 0 failed, 88 skipped (162 checks)"
+
+
 def test_verify_bad_grid_file(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({"bogus": [0, 1]}))
@@ -243,7 +251,9 @@ def test_verify_missing_grid_file(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("text", ["5", '[["k",[0,1]]]', '{"k": [null, 3]}', '{"k": [0, 3.7]}'])
+@pytest.mark.parametrize(
+    "text", ["5", '[["k",[0,1]]]', '{"k": [null, 3]}', '{"k": [0, 3.7]}', '{"k": [0,'],
+)
 def test_verify_malformed_grid_file(tmp_path, capsys, text):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(text)

@@ -146,7 +146,7 @@ def test_dodgson_engine_wrong(monkeypatch):
 def test_dodgson_fallback_wrong_is_caught(monkeypatch):
     # the zero at (2, 2) sends the top-left 3x3 minor to the Bareiss
     # fallback; a wrong minor makes the next condensation step inexact
-    m = Matrix.from_rows([[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]])
+    m = Matrix([[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]])
     assert matrices.det_dodgson(m) == matrices.det_bareiss(m) == 45
     real = matrices.det_bareiss
     monkeypatch.setattr(matrices, "det_bareiss", lambda minor: real(minor) + 1)
@@ -182,7 +182,7 @@ def test_matrix_product_collapse_wrong(monkeypatch):
     def planted(n, k):
         rows = [list(row) for row in real(n, k).entries]
         rows[-1] = [x + Fraction(1, 2) for x in rows[-1]]
-        return Matrix.from_rows(rows)
+        return Matrix(rows)
 
     monkeypatch.setattr(matrices, "transfer_matrix", planted)
     grid = GridSpec(A=(0, 0), B=(0, 0), x=(0, 0))
@@ -316,6 +316,53 @@ def test_moment_identity_wrong(monkeypatch):
     assert failures([identities.moment_identity_check(0, 0, 5)]) == [
         ("lemmaC", "moment-identity k=0 b=0 n=5", "lhs=1/4 rhs=1/2"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# insertion bijection
+# ---------------------------------------------------------------------------
+
+def test_bijection_image_out_of_order(monkeypatch, capsys):
+    real = oracle.insert_prefix
+
+    def swapped(mu, i):
+        image = real(mu, i)
+        return image[:-2] + (image[-1], image[-2])
+
+    monkeypatch.setattr(oracle, "insert_prefix", swapped)
+    result = oracle.check_insertion_bijection(4, 2)
+    assert (result.group, result.name, result.status, result.witness) == (
+        "bijection", "insertion-bijection k=2 n=4->5", "fail", "image 12534, enumerated 12543",
+    )
+    code = main(["verify", "--suite", "bijection", "--k-max", "2", "--n-max", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "  FAIL [bijection] insertion-bijection k=2 n=4->5: image 12534, enumerated 12543" in lines
+
+
+@pytest.mark.parametrize(
+    "n, k, size, drop, witness",
+    [
+        (4, 2, 5, -1, "image 34521, enumerated none"),
+        (4, 2, 4, 0, "image 13524, enumerated 12543"),
+        (1, 0, 1, 0, "image none, enumerated 12"),
+    ],
+)
+def test_bijection_member_missing(monkeypatch, n, k, size, drop, witness):
+    real = oracle._iter_members
+    sizes = []
+
+    def planted(m, j):
+        sizes.append(m)
+        members = list(real(m, j))
+        if m == size:
+            del members[drop]
+        return iter(members)
+
+    monkeypatch.setattr(oracle, "_iter_members", planted)
+    result = oracle.check_insertion_bijection(n, k)
+    assert (result.status, result.witness) == ("fail", witness)
+    assert sizes == [n, n + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ def test_ones_grid_runner_statuses():
     assert undefined
 
 
+def test_ones_grid_window_has_a_lower_bound():
+    # r = 0 lies below 1 <= r <= k+1: its values are recorded, never asserted
+    results = run_ones_identity_grid(GridSpec(k=(0, 2), n=(0, 8), r=(0, 3)))
+    assert [r for r in results if r.status == "fail"] == []
+    assert (sum(r.status == "pass" for r in results), len(results)) == (56, 144)
+    below = [r for r in results if " r=0 " in r.name]
+    assert below and all(r.status == "skipped" for r in below)
+    assert [r.witness for r in below if r.name.startswith("ones-entry")][:2] == [
+        "outside 1 <= r <= k+1, recorded value 0"
+    ] * 2
+
+
 def test_moment_grid_runner_statuses():
     results = run_moment_identity_grid(SMALL)
     assert results

@@ -59,21 +59,21 @@ def det_leibniz(m: Matrix) -> Fraction:
 def test_transfer_matrix_values():
     for k in range(0, 6):
         assert transfer_matrix(2 * k, k) == Matrix.identity(k + 1)
-    assert transfer_matrix(3, 1) == Matrix.from_rows([[1, 1], [0, 1]])
+    assert transfer_matrix(3, 1) == Matrix([[1, 1], [0, 1]])
     assert transfer_matrix(6, 2).entries[0] == (1, 2, 3)
     with pytest.raises(ValueError):
         transfer_matrix(3, 2)
 
 
 def test_kernel_matrix_values():
-    assert kernel_matrix(0) == Matrix.from_rows([[1]])
-    assert kernel_matrix(1) == Matrix.from_rows([[1, 0], [1, 1]])
-    assert kernel_matrix(2) == Matrix.from_rows([[1, -2, 1], [1, -1, 0], [1, 0, 0]])
+    assert kernel_matrix(0) == Matrix([[1]])
+    assert kernel_matrix(1) == Matrix([[1, 0], [1, 1]])
+    assert kernel_matrix(2) == Matrix([[1, -2, 1], [1, -1, 0], [1, 0, 0]])
 
 
 def test_component_matrix_values():
-    assert component_matrix(1, 3) == Matrix.from_rows([[1, -1], [1, 0]])
-    assert component_matrix(2, 5) == Matrix.from_rows([[1, -3, 3], [1, -2, 1], [1, -1, 0]])
+    assert component_matrix(1, 3) == Matrix([[1, -1], [1, 0]])
+    assert component_matrix(2, 5) == Matrix([[1, -3, 3], [1, -2, 1], [1, -1, 0]])
     assert component_matrix(1, 2) == kernel_matrix(1)
     with pytest.raises(ValueError):
         component_matrix(2, 3)
@@ -134,9 +134,9 @@ def test_mat_mul():
 
 def test_rectangular_validation():
     with pytest.raises(ValueError, match="dimension mismatch: row 2 has 1 entries, expected 2"):
-        Matrix.from_rows([[1, 2], [3]])
+        Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        Matrix.from_rows([])
+        Matrix([])
     for empty in ((), ((),), [[]]):
         with pytest.raises(ValueError, match="at least one row and one column"):
             Matrix(empty)
@@ -144,9 +144,9 @@ def test_rectangular_validation():
 
 def test_constructor_is_from_rows():
     m = Matrix(([1, 2], [3, 4]))
-    assert m == Matrix.from_rows([[1, 2], [3, 4]])
+    assert m == Matrix(((1, 2), (3, 4)))
     assert m.entries == ((1, 2), (3, 4))
-    assert hash(m) == hash(Matrix.from_rows([[1, 2], [3, 4]]))
+    assert hash(m) == hash(Matrix(((1, 2), (3, 4))))
     assert det_bareiss(m) == det_dodgson(m) == -2
 
 
@@ -182,7 +182,7 @@ def test_components_are_ints_for_every_method():
 
 def test_rationals_are_kept_and_promote():
     half = Fraction(1, 2)
-    m = Matrix.from_rows([[half, 1], [0, 2]])
+    m = Matrix([[half, 1], [0, 2]])
     assert m.entries == ((half, 1), (0, 2))
     assert type(m.entries[0][1]) is int
     assert row_times_matrix((2, 1), m) == (1, 4)
@@ -193,7 +193,6 @@ def test_rationals_are_kept_and_promote():
 I2 = Matrix.identity(2)
 NOT_EXACT_CALLS = {
     "Matrix": lambda bad: Matrix(((1, bad), (0, 1))),
-    "from_rows": lambda bad: Matrix.from_rows([[1, bad], [0, 1]]),
     "replace_column": lambda bad: replace_column(I2, 0, (bad, 1)),
     "row_times_matrix": lambda bad: row_times_matrix((1, bad), I2),
     "matrix_times_vector": lambda bad: matrix_times_vector(I2, (bad, 1)),
@@ -229,14 +228,14 @@ def test_vector_length_mismatches():
 # ---------------------------------------------------------------------------
 
 def test_det_small_values():
-    assert det_bareiss(Matrix.from_rows([[1, 2], [3, 4]])) == -2
-    assert det_dodgson(Matrix.from_rows([[1, 2], [3, 4]])) == -2
-    assert det_bareiss(Matrix.from_rows([[7]])) == 7
-    assert det_dodgson(Matrix.from_rows([[7]])) == 7
+    assert det_bareiss(Matrix([[1, 2], [3, 4]])) == -2
+    assert det_dodgson(Matrix([[1, 2], [3, 4]])) == -2
+    assert det_bareiss(Matrix([[7]])) == 7
+    assert det_dodgson(Matrix([[7]])) == 7
 
 
 def test_det_requires_square():
-    rect = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    rect = Matrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         det_bareiss(rect)
     with pytest.raises(ValueError):
@@ -252,17 +251,17 @@ def test_unit_determinants():
 
 
 def test_dodgson_zero_interior_fallback():
-    ones = Matrix.from_rows([[1] * 4 for _ in range(4)])
+    ones = Matrix([[1] * 4 for _ in range(4)])
     assert det_dodgson(ones) == 0
     assert det_bareiss(ones) == 0
     # zero interior with a nonzero determinant
-    m = Matrix.from_rows([[2, 1, 3], [5, 0, 1], [4, 2, 2]])
+    m = Matrix([[2, 1, 3], [5, 0, 1], [4, 2, 2]])
     assert det_dodgson(m) == det_bareiss(m) == det_leibniz(m)
 
 
 def test_bareiss_needs_column_pivoting():
     # leading column is zero; full pivot search must look sideways
-    m = Matrix.from_rows([[0, 0, 2], [0, 3, 1], [5, 1, 4]])
+    m = Matrix([[0, 0, 2], [0, 3, 1], [5, 1, 4]])
     assert det_bareiss(m) == det_leibniz(m) == -30
     assert det_dodgson(m) == -30
 
@@ -274,7 +273,7 @@ def test_engines_match_leibniz_on_random_integer_matrices():
         rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
         if trial % 3 == 0 and dim >= 3:
             rows[rng.randint(1, dim - 2)][rng.randint(1, dim - 2)] = 0
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         expected = det_leibniz(m)
         assert det_bareiss(m) == expected
         assert det_dodgson(m) == expected
@@ -288,7 +287,7 @@ def test_engines_match_leibniz_on_random_rational_matrices():
             [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(dim)]
             for _ in range(dim)
         ]
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         expected = det_leibniz(m)
         assert det_bareiss(m) == expected
         assert det_dodgson(m) == expected
@@ -303,7 +302,7 @@ def test_engines_match_leibniz_on_random_rational_matrices():
     )
 )
 def test_engines_agree_property(rows):
-    m = Matrix.from_rows(rows)
+    m = Matrix(rows)
     assert det_bareiss(m) == det_dodgson(m)
 
 
@@ -323,7 +322,7 @@ def test_solve_cramer_random_against_residual():
     solved = 0
     while solved < 40:
         dim = 2 + rng.randrange(3)
-        m = Matrix.from_rows([[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)])
+        m = Matrix([[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)])
         if det_bareiss(m) == 0:
             continue
         v = [rng.randint(-9, 9) for _ in range(dim)]
@@ -334,9 +333,9 @@ def test_solve_cramer_random_against_residual():
 
 
 def test_replace_column():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
+    m = Matrix([[1, 2], [3, 4]])
     half = Fraction(1, 2)
-    assert replace_column(m, 1, (half, 7)) == Matrix.from_rows([[1, half], [3, 7]])
+    assert replace_column(m, 1, (half, 7)) == Matrix([[1, half], [3, 7]])
     for col in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
             replace_column(m, col, (5, 6))
@@ -345,7 +344,7 @@ def test_replace_column():
 
 
 def test_solve_cramer_errors():
-    singular = Matrix.from_rows([[1, 2], [2, 4]])
+    singular = Matrix([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError, match="determinant is 0"):
         solve_cramer(singular, (1, 1))
     with pytest.raises(ValueError):
@@ -380,7 +379,7 @@ def test_solve_bareiss_random_against_residual():
         else:
             rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
             v = [rng.randint(-9, 9) for _ in range(dim)]
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         if det_bareiss(m) == 0:
             with pytest.raises(SingularMatrixError):
                 solve_bareiss(m, v)
@@ -393,22 +392,22 @@ def test_solve_bareiss_random_against_residual():
 
 def test_solve_bareiss_row_swap():
     # the leading entry is zero, so the first column pivots on row 2
-    assert solve_bareiss(Matrix.from_rows([[0, 1], [1, 0]]), (3, 4)) == (4, 3)
-    assert solve_bareiss(Matrix.from_rows([[0, 0, 2], [0, 3, 1], [5, 1, 4]]), (2, 4, 7)) == (
+    assert solve_bareiss(Matrix([[0, 1], [1, 0]]), (3, 4)) == (4, 3)
+    assert solve_bareiss(Matrix([[0, 0, 2], [0, 3, 1], [5, 1, 4]]), (2, 4, 7)) == (
         Fraction(2, 5), 1, 1,
     )
 
 
 def test_solve_bareiss_errors():
     with pytest.raises(SingularMatrixError, match="determinant is 0"):
-        solve_bareiss(Matrix.from_rows([[1, 2], [2, 4]]), (1, 1))
+        solve_bareiss(Matrix([[1, 2], [2, 4]]), (1, 1))
     # singular with a zero column beyond the first step
     with pytest.raises(SingularMatrixError, match="determinant is 0"):
-        solve_bareiss(Matrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 7]]), (1, 1, 1))
+        solve_bareiss(Matrix([[1, 2, 3], [2, 4, 5], [3, 6, 7]]), (1, 1, 1))
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_bareiss(Matrix.identity(2), (1, 2, 3))
     with pytest.raises(ValueError, match="square matrix"):
-        solve_bareiss(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 2))
+        solve_bareiss(Matrix([[1, 2, 3], [4, 5, 6]]), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +423,7 @@ def test_det_product_k0_closed_form():
 def test_det_product_golden_points():
     # generic entries at (k=1, x=3, y=2) are binomial(i+j+5, i+3)
     m = shifted_binomial_matrix(1, 3, 2)
-    assert m == Matrix.from_rows(
+    assert m == Matrix(
         [[binomial(7, 4), binomial(8, 4)], [binomial(8, 5), binomial(9, 5)]]
     )
     assert binomial_det_product(1, 3, 2) == det_bareiss(m) == 490

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from lisenum import (
     check_insertion_bijection,
     component_counts,
-    enumerate_class,
-    enumerate_with_prefix,
     format_perm,
     insert_prefix,
     is_member,
+    iter_class,
     lis_length,
 )
 from lisenum import oracle
-from lisenum.oracle import candidate_count, iter_class
+from lisenum.oracle import candidate_count
 
 
 def lis_exhaustive(mu):
@@ -94,22 +93,22 @@ def test_is_member_validates():
 
 
 def test_enumerate_small_goldens():
-    assert enumerate_class(4, 2) == [
+    assert list(iter_class(4, 2)) == [
         (1, 4, 3, 2),
         (2, 4, 1, 3),
         (2, 4, 3, 1),
         (3, 4, 1, 2),
         (3, 4, 2, 1),
     ]
-    assert enumerate_class(2, 1) == [(2, 1)]
-    assert enumerate_class(5, 0) == [(1, 2, 3, 4, 5)]
-    assert enumerate_class(0, 0) == [()]
+    assert list(iter_class(2, 1)) == [(2, 1)]
+    assert list(iter_class(5, 0)) == [(1, 2, 3, 4, 5)]
+    assert list(iter_class(0, 0)) == [()]
 
 
 def test_enumeration_matches_full_scan():
     for n in range(1, 8):
         for k in range(0, n // 2 + 1):
-            members = enumerate_class(n, k)
+            members = list(iter_class(n, k))
             assert members == members_by_full_scan(n, k)
             assert all(is_member(mu, n, k) for mu in members)
             assert members == sorted(members)
@@ -132,7 +131,7 @@ def test_enumeration_matches_definition_filter():
     for n in range(9):
         every = list(permutations(range(1, n + 1)))
         for k in range(n // 2 + 1):
-            assert enumerate_class(n, k) == sorted(p for p in every if is_member(p, n, k))
+            assert list(iter_class(n, k)) == sorted(p for p in every if is_member(p, n, k))
 
 
 # every cell up to the oracle's n cap with at most 10^5 candidates
@@ -147,9 +146,9 @@ SCAN_CELLS = [
 @pytest.mark.parametrize("n, k", SCAN_CELLS)
 def test_walks_match_candidate_scan(n, k):
     members = members_by_candidate_scan(n, k)
-    assert enumerate_class(n, k) == members
+    assert list(iter_class(n, k)) == members
     for i in range(1, n + 1):
-        assert enumerate_with_prefix(n, k, i) == [mu for mu in members if mu[0] == i]
+        assert list(iter_class(n, k, i)) == [mu for mu in members if mu[0] == i]
     if n > 0:
         firsts = Counter(mu[0] for mu in members)
         assert component_counts(n, k) == [firsts[i] for i in range(1, k + 2)]
@@ -171,19 +170,19 @@ def test_counting_never_walks(monkeypatch):
 
 
 def test_enumerate_with_prefix():
-    assert enumerate_with_prefix(4, 2, 2) == [(2, 4, 1, 3), (2, 4, 3, 1)]
-    assert enumerate_with_prefix(4, 2, 3) == [(3, 4, 1, 2), (3, 4, 2, 1)]
-    assert enumerate_with_prefix(4, 2, 4) == []
+    assert list(iter_class(4, 2, 2)) == [(2, 4, 1, 3), (2, 4, 3, 1)]
+    assert list(iter_class(4, 2, 3)) == [(3, 4, 1, 2), (3, 4, 2, 1)]
+    assert list(iter_class(4, 2, 4)) == []
     with pytest.raises(ValueError):
-        enumerate_with_prefix(4, 2, 0)
+        iter_class(4, 2, 0)
     with pytest.raises(ValueError):
-        enumerate_with_prefix(4, 2, 5)
+        iter_class(4, 2, 5)
 
 
 def test_emptiness_beyond_prefix_bound():
     for n, k in ((4, 2), (5, 2), (6, 3), (7, 2)):
         for i in range(k + 2, n + 1):
-            assert enumerate_with_prefix(n, k, i) == []
+            assert list(iter_class(n, k, i)) == []
 
 
 @pytest.mark.parametrize(
@@ -203,7 +202,7 @@ def test_component_counts(n, k, expected):
 def test_components_sum_to_class_size():
     for n in range(1, 9):
         for k in range(0, n // 2 + 1):
-            assert sum(component_counts(n, k)) == len(enumerate_class(n, k))
+            assert sum(component_counts(n, k)) == len(list(iter_class(n, k)))
 
 
 def test_column_recursion_oracle_vs_oracle():
@@ -250,7 +249,7 @@ def test_insert_prefix_errors():
 
 def test_insertion_images_land_in_next_class():
     for n, k in ((4, 2), (5, 2), (6, 3)):
-        for mu in enumerate_class(n, k):
+        for mu in iter_class(n, k):
             for i in range(1, mu[0] + 1):
                 img = insert_prefix(mu, i)
                 assert is_member(img, n + 1, k)
@@ -273,11 +272,11 @@ def test_insertion_bijection_reconstructs_next_column():
         3: ["34512", "34521"],
     }
     for i, expected in golden.items():
-        got = [format_perm(mu) for mu in enumerate_with_prefix(5, 2, i)]
+        got = [format_perm(mu) for mu in iter_class(5, 2, i)]
         assert got == expected
     assert check_insertion_bijection(4, 2).status == "pass"
     # the n=6, k=3 step lands on a first component of size 47
-    assert len(enumerate_with_prefix(7, 3, 1)) == 47
+    assert len(list(iter_class(7, 3, 1))) == 47
 
 
 def test_format_perm():

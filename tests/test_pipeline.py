@@ -201,7 +201,7 @@ def test_table_k0_is_all_ones():
 
 
 def test_table_render_csv():
-    got = component_table(2, 4, 9).render_csv().splitlines()
+    got = component_table(2, 4, 9).render("csv").splitlines()
     assert got[0] == "component,n=4,n=5,n=6,n=7,n=8,n=9"
     assert got[1] == "B(1),1,5,11,19,29,41"
     assert got[2] == "B(2),2,4,6,8,10,12"
@@ -211,7 +211,7 @@ def test_table_render_csv():
 
 
 def test_table_render_markdown():
-    lines = component_table(1, 2, 6).render_markdown().splitlines()
+    lines = component_table(1, 2, 6).render("md").splitlines()
     assert lines[0] == "| component | n=2 | n=3 | n=4 | n=5 | n=6 |"
     assert lines[2] == "| #B(1) | 0 | 1 | 2 | 3 | 4 |"
     assert lines[3] == "| #B(2) | 1 | 1 | 1 | 1 | 1 |"
