@@ -30,10 +30,13 @@ appends.  If none does, placing the largest value left keeps the
 condition.  In particular the prefix ends in n.
 
 The walk cuts every node that breaks the condition, so each node it
-keeps has a member below it.  Only listing walks; counting memoizes
-the count below a node on its state word (``_count_word``), as in
-West's generating trees (1996).  ``is_member`` rests on ``lis_length``,
-and the tests compare the walk with a filter of all n! permutations.
+keeps has a member below it.  It yields each member as it reaches it
+and holds none back, not even within a root, which can have k! of
+them; ``format_perm`` spells each as one line.  Only listing walks;
+counting memoizes the count below a node on its state word
+(``_count_word``), as in West's generating trees (1996).
+``is_member`` rests on ``lis_length``, and the tests compare the walk
+with a filter of all n! permutations.
 ``check_insertion_bijection`` compares the walk at n+1 with the images
 of the walk at n under prefix insertion, list against list.
 """
@@ -257,7 +260,15 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     return failed(name, f"image {image}, enumerated {member}", group="bijection")
 
 
+@lru_cache(maxsize=None)
+def _line_template(n: int) -> str:
+    return ("" if n <= 9 else ",").join(["%s"] * n)
+
+
 def format_perm(mu: Sequence[int]) -> str:
-    """Digit string for n <= 9, comma-separated values otherwise."""
-    sep = "" if len(mu) <= 9 else ","
-    return sep.join([str(a) for a in mu])
+    """Digit string for n <= 9, comma-separated values otherwise.
+
+    One ``%s`` template per length: ``%s`` applies ``str`` to each entry,
+    so the text is the ``str`` join of the entries, whatever their type.
+    """
+    return _line_template(len(mu)) % tuple(mu)

@@ -1,10 +1,12 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,6 +130,37 @@ def test_enumerate_prefix_out_of_range(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--k", "2", "--prefix", "5")
     assert code == 2
     assert "prefix" in err
+
+
+@pytest.mark.parametrize(
+    "n, k, prefix",
+    [
+        (9, 4, None),  # digit strings
+        (10, 4, None),  # comma-separated from n = 10 on
+        (0, 0, None),  # one empty line: the empty permutation
+        (10, 4, 2),
+        (10, 4, 6),  # beyond k+1: nothing
+    ],
+)
+def test_enumerate_prints_format_perm_lines(capsys, n, k, prefix):
+    argv = ["enumerate", "--n", str(n), "--k", str(k)]
+    if prefix is not None:
+        argv += ["--prefix", str(prefix)]
+    lines = "".join(oracle.format_perm(mu) + "\n" for mu in oracle.iter_class(n, k, prefix))
+    assert run_cli(capsys, *argv) == (0, lines, "")
+
+
+# sha256 of `enumerate --n 11 --k 5`: 24,694 lines, several chunks
+ENUMERATE_11_5_SHA256 = "79da1cdbb8251faeedc65ca2315d6abc5f73d9df068d6de41fcd4ef9939c3286"
+
+
+def test_enumerate_writes_pinned_stdout_a_chunk_at_a_time(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["enumerate", "--n", "11", "--k", "5"]) == 0
+    assert len(writes) > 1
+    assert max(text.count("\n") for text in writes) <= cli.ENUMERATE_CHUNK
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == ENUMERATE_11_5_SHA256
 
 
 def test_enumerate_into_closed_pipe_exits_2():

@@ -1,7 +1,11 @@
 """Brute-force enumeration: checked against definition-level re-derivations."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -284,3 +288,35 @@ def test_format_perm():
     assert format_perm(tuple(range(1, 10))) == "123456789"
     assert format_perm(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
     assert format_perm(()) == ""
+    assert format_perm([2, 1]) == "21"
+    assert format_perm(tuple(range(10, 0, -1))) == "10,9,8,7,6,5,4,3,2,1"
+    # the str of each entry, whatever its type; %d would print 1 and 1
+    assert format_perm((True, 1.5)) == "True1.5"
+    assert format_perm((True,) * 5 + (1.5,) * 5) == "True,True,True,True,True,1.5,1.5,1.5,1.5,1.5"
+
+
+def test_iter_class_is_lazy_within_a_root():
+    # At (24, 12) the one root of prefix 13, 13..24, has 12! members, all
+    # orders of 1..12; its first member must come at once, as must the
+    # class's.  Run in a child capped at 1 GB, so that a walk that buffers
+    # fails instead of filling the host's memory.
+    code = (
+        "import resource, time; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from lisenum import iter_class; "
+        "start = time.perf_counter(); "
+        "first = next(iter_class(24, 12)), next(iter_class(24, 12, 13)); "
+        "print(time.perf_counter() - start, *first)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, first = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert first == "%s %s\n" % (
+        (*range(1, 12), *range(24, 11, -1)),
+        (*range(13, 25), *range(1, 13)),
+    )
