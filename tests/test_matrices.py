@@ -31,7 +31,7 @@ from lisenum import (
     solve_cramer,
     transfer_matrix,
 )
-from lisenum.matrices import replace_column
+from lisenum.matrices import _bareiss
 from lisenum.pipeline import COMPONENT_METHODS
 
 
@@ -193,7 +193,6 @@ def test_rationals_are_kept_and_promote():
 I2 = Matrix.identity(2)
 NOT_EXACT_CALLS = {
     "Matrix": lambda bad: Matrix(((1, bad), (0, 1))),
-    "replace_column": lambda bad: replace_column(I2, 0, (bad, 1)),
     "row_times_matrix": lambda bad: row_times_matrix((1, bad), I2),
     "matrix_times_vector": lambda bad: matrix_times_vector(I2, (bad, 1)),
     "dot left": lambda bad: dot((bad,), (1,)),
@@ -332,15 +331,41 @@ def test_solve_cramer_random_against_residual():
         solved += 1
 
 
-def test_replace_column():
-    m = Matrix([[1, 2], [3, 4]])
-    half = Fraction(1, 2)
-    assert replace_column(m, 1, (half, 7)) == Matrix([[1, half], [3, 7]])
-    for col in (-1, 2):
-        with pytest.raises(ValueError, match="out of range"):
-            replace_column(m, col, (5, 6))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        replace_column(m, 0, (5,))
+def test_solve_cramer_forks_match_both_engines():
+    # planted zeros make the shared pass swap rows and the forks swap columns
+    rng = random.Random(144)
+    solved = singular = 0
+    for draw in range(300):
+        dim = 1 + draw % 7
+
+        def entry():
+            if rng.random() < 0.4:
+                return 0
+            if draw % 2:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return rng.randint(-5, 5)
+
+        rows = [tuple(entry() for _ in range(dim)) for _ in range(dim)]
+        v = [entry() for _ in range(dim)]
+        a = Matrix(rows)
+        d = det_bareiss(a)
+        if d == 0:
+            with pytest.raises(SingularMatrixError, match="^cannot solve: determinant is 0$"):
+                solve_cramer(a, v)
+            singular += 1
+            continue
+        x = solve_cramer(a, v)
+        for i in range(dim):
+            a_i = Matrix([row[:i] + (rhs,) + row[i + 1:] for row, rhs in zip(rows, v)])
+            assert x[i] * d == det_bareiss(a_i) == det_dodgson(a_i), (draw, i)
+        solved += 1
+    assert solved > 100 and singular > 10
+
+
+def test_bareiss_loop_refuses_an_inexact_division():
+    # 5 * 1 - 3 * 2 = -1 is not a multiple of the wrong previous pivot 2
+    with pytest.raises(ValueError, match="^inexact division"):
+        _bareiss([[1, 2], [3, 5]], 2, 1)
 
 
 def test_solve_cramer_errors():
@@ -362,7 +387,9 @@ def test_solve_bareiss_matches_cramer_on_structured_systems():
     for k in range(0, 26):
         m, v = kernel_matrix(k), initial_vector(k)
         assert solve_bareiss(m, v) == solve_cramer(m, v), k
-    for k, n in ((1, 2), (3, 7), (5, 10), (6, 19), (9, 40), (12, 100)):
+    # the last five are the solve benchmark's rungs
+    for k, n in ((1, 2), (3, 7), (5, 10), (6, 19), (9, 40), (12, 100),
+                 (10, 20), (25, 110), (30, 140), (35, 170), (40, 196)):
         m, v = component_matrix(k, n), initial_vector(k)
         assert solve_bareiss(m, v) == solve_cramer(m, v), (k, n)
 

@@ -138,12 +138,18 @@ def test_cramer_route_uses_no_elimination_solve(monkeypatch):
     assert components(9, 3, "cramer") == [191, 87, 30, 6]
 
 
-# derandomized so that tier-1 runs the same examples every time
-SIZES = st.integers(0, 30).flatmap(lambda k: st.tuples(st.integers(2 * k, 200), st.just(k)))
+def sizes(k_max):
+    """(n, k) with k <= k_max and 2k <= n <= 200; the tests below are
+    derandomized, so tier-1 runs the same examples every time."""
+    return st.integers(0, k_max).flatmap(lambda k: st.tuples(st.integers(2 * k, 200), st.just(k)))
 
 
+SIZES = sizes(30)
+
+
+# k <= 40 reaches the top rung of the solve benchmark
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(SIZES)
+@given(sizes(40))
 def test_routes_agree_beyond_brute_force(size):
     n, k = size
     assert count(n, k, "formula") == count(n, k, "kernel") == count(n, k, "cramer")
