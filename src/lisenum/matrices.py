@@ -21,9 +21,10 @@ each other throughout the test suite.  Both clear denominators once
 return a ``Fraction``.  Two solvers share no code:
 ``solve_bareiss`` (one fraction-free elimination of the augmented
 system, then back substitution; O(k^3)) is route 3's kernel solve, and
-``solve_cramer`` (column-replacement determinants: one ``det_bareiss``,
-one augmented pass and k+1 trailing-block forks of it, about k^4/12
-inner steps; O(k^4)) is route 4's method.  Matrix indices are 1-based in
+``solve_cramer`` (column-replacement determinants: one ``det_bareiss``
+and one fraction-free Gauss-Jordan pass of the augmented system whose
+last column ends, by Sylvester's identity, as +-det(A_i); about k^3/2
+inner steps, O(k^3)) is route 4's method.  Matrix indices are 1-based in
 documentation and error messages; storage is 0-based.
 """
 
@@ -139,32 +140,6 @@ def _bareiss_step(m: list[list[int]], t: int, prev: int) -> None:
         row[t] = 0
 
 
-def _bareiss(m: list[list[int]], prev: int, sign: int) -> int:
-    """Finish a fraction-free elimination of the square integer rows ``m``.
-
-    ``m`` is the trailing block of an elimination whose last pivot was
-    ``prev`` and whose swaps so far give ``sign``; ``(1, 1)`` starts one.
-    The return is the signed last pivot, the determinant of the whole
-    matrix, or 0 once the full pivot search finds the rest all zero.
-    """
-    n = len(m)
-    for t in range(n - 1):
-        pivot = next(((i, j) for i in range(t, n) for j in range(t, n) if m[i][j]), None)
-        if pivot is None:
-            return 0
-        pi, pj = pivot
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            sign = -sign
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-            sign = -sign
-        _bareiss_step(m, t, prev)
-        prev = m[t][t]
-    return sign * m[n - 1][n - 1]
-
-
 def det_bareiss(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination.
 
@@ -176,7 +151,23 @@ def det_bareiss(a: Matrix) -> Fraction:
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     m, scale = integer_rows(a.entries)
-    return Fraction(_bareiss(m, 1, 1), scale)
+    n = len(m)
+    prev = sign = 1
+    for t in range(n - 1):
+        pivot = next(((i, j) for i in range(t, n) for j in range(t, n) if m[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        pi, pj = pivot
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            sign = -sign
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            sign = -sign
+        _bareiss_step(m, t, prev)
+        prev = m[t][t]
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def det_dodgson(a: Matrix) -> Fraction:
@@ -256,19 +247,39 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
     return tuple(x)
 
 
+def _jordan_step(m: list[list[int]], t: int, prev: int) -> None:
+    """Clear column ``t`` of the integer rows ``m`` in every row but row
+    ``t``, above it as well as below, with the fraction-free update of
+    :func:`_bareiss_step`; a remainder raises."""
+    top = m[t]
+    p = top[t]
+    for row in m:
+        if row is top:
+            continue
+        f = row[t]
+        for j in range(t + 1, len(top)):
+            num = row[j] * p - f * top[j]
+            q, r = divmod(num, prev)
+            if r:
+                exact_div(num, prev)  # raises the inexact-division error
+            row[j] = q
+        row[t] = 0
+
+
 def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     """Solve a x = v by column-replacement determinants (Cramer's rule).
 
     This is route 4's method: against the unit-determinant component
     matrices every solution entry is itself an integer determinant,
     det(A_i) / det(a), with A_i the matrix ``a`` with column i replaced
-    by v.  The first i steps of a Bareiss elimination of A_i are those
-    of one elimination of the augmented rows [a | v] with row pivoting,
-    so that shared pass forks before step i: its trailing block, with
-    the eliminated v as first column, is finished by
-    :func:`det_bareiss`'s loop.  One ``det_bareiss`` of ``a``, the pass
-    and k+1 forks cost about k^4/12 inner steps, O(k^4); route 3 solves
-    with :func:`solve_bareiss` instead.
+    by v.  One fraction-free Gauss-Jordan pass over the augmented rows
+    [a | v] with row pivoting clears each pivot column above the pivot
+    as well as below it (Bareiss 1968, the Bareiss-Montante method).
+    By Sylvester's identity the last pivot ends as +-det(a) and entry i
+    of the v column as +-det(A_i), one sign for all, so every output is
+    still a determinant.  The pass's last pivot is checked against an
+    independent ``det_bareiss`` of ``a``.  About k^3/2 inner steps,
+    O(k^3); route 3 solves with :func:`solve_bareiss` instead.
     """
     if a.rows != a.cols:
         raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
@@ -279,18 +290,19 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     n = a.rows
     # one row multiplier per row of [a | v] scales every det(A_i) alike
     m, scale = integer_rows(row + (rhs,) for row, rhs in zip(a.entries, v))
-    dets = []
-    prev, sign = 1, 1
+    prev = sign = 1
     for t in range(n):
-        dets.append(_bareiss([[row[n]] + row[t + 1:n] for row in m[t:]], prev, sign))
         # det(a) != 0, so column t has a pivot at or below row t
         pi = next(i for i in range(t, n) if m[i][t])
         if pi != t:
             m[t], m[pi] = m[pi], m[t]
             sign = -sign
-        _bareiss_step(m, t, prev)
+        _jordan_step(m, t, prev)
         prev = m[t][t]
-    return tuple(Fraction(x, scale) / d for x in dets)
+    last = Fraction(sign * prev, scale)
+    if last != d:
+        raise ArithmeticError(f"Gauss-Jordan pass ends on det {last}, det_bareiss gives {d}")
+    return tuple(Fraction(sign * row[n], scale) / d for row in m)
 
 
 # ---------------------------------------------------------------------------

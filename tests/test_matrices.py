@@ -17,6 +17,8 @@ from lisenum import (
     check_transfer_consistency,
     component_matrix,
     components,
+    count,
+    count_formula,
     counting_row,
     det_bareiss,
     det_dodgson,
@@ -24,6 +26,7 @@ from lisenum import (
     initial_vector,
     kernel_matrix,
     mat_mul,
+    matrices,
     matrix_times_vector,
     row_times_matrix,
     shifted_binomial_matrix,
@@ -31,7 +34,7 @@ from lisenum import (
     solve_cramer,
     transfer_matrix,
 )
-from lisenum.matrices import _bareiss
+from lisenum.matrices import _bareiss_step, _jordan_step
 from lisenum.pipeline import COMPONENT_METHODS
 
 
@@ -331,8 +334,8 @@ def test_solve_cramer_random_against_residual():
         solved += 1
 
 
-def test_solve_cramer_forks_match_both_engines():
-    # planted zeros make the shared pass swap rows and the forks swap columns
+def test_solve_cramer_determinants_match_both_engines():
+    # planted zeros make the Gauss-Jordan pass swap rows and det_bareiss swap columns
     rng = random.Random(144)
     solved = singular = 0
     for draw in range(300):
@@ -365,7 +368,25 @@ def test_solve_cramer_forks_match_both_engines():
 def test_bareiss_loop_refuses_an_inexact_division():
     # 5 * 1 - 3 * 2 = -1 is not a multiple of the wrong previous pivot 2
     with pytest.raises(ValueError, match="^inexact division"):
-        _bareiss([[1, 2], [3, 5]], 2, 1)
+        _bareiss_step([[1, 2], [3, 5]], 0, 2)
+
+
+def test_jordan_pass_refuses_an_inexact_division():
+    # the row above the pivot: 1 * 5 - 2 * 3 = -1 is not a multiple of 2
+    with pytest.raises(ValueError, match="^inexact division"):
+        _jordan_step([[1, 2, 1], [0, 5, 3]], 1, 2)
+
+
+def test_solve_cramer_checks_its_last_pivot(monkeypatch):
+    # a dropped swap sign or a wrong pivot leaves the pass off det(a) by a factor
+    real = matrices.det_bareiss
+    a, v = component_matrix(3, 9), initial_vector(3)
+    for factor in (2, -1):
+        monkeypatch.setattr(matrices, "det_bareiss", lambda m: factor * real(m))
+        with pytest.raises(
+            ArithmeticError, match=f"^Gauss-Jordan pass ends on det 1, det_bareiss gives {factor}$"
+        ):
+            solve_cramer(a, v)
 
 
 def test_solve_cramer_errors():
@@ -387,11 +408,12 @@ def test_solve_bareiss_matches_cramer_on_structured_systems():
     for k in range(0, 26):
         m, v = kernel_matrix(k), initial_vector(k)
         assert solve_bareiss(m, v) == solve_cramer(m, v), k
-    # the last five are the solve benchmark's rungs
+    # (10, 20) to (40, 196) are the solve benchmark's rungs
     for k, n in ((1, 2), (3, 7), (5, 10), (6, 19), (9, 40), (12, 100),
-                 (10, 20), (25, 110), (30, 140), (35, 170), (40, 196)):
+                 (10, 20), (25, 110), (30, 140), (35, 170), (40, 196), (60, 240)):
         m, v = component_matrix(k, n), initial_vector(k)
         assert solve_bareiss(m, v) == solve_cramer(m, v), (k, n)
+    assert count(240, 60, "cramer") == count_formula(240, 60)
 
 
 def test_solve_bareiss_random_against_residual():
