@@ -16,13 +16,18 @@ one per parameter for the second); the residual helpers return those
 combinations so the suites can assert they vanish.  Grid points where a
 referenced value is undefined are skipped and logged, never silently
 dropped or asserted.
+
+Every sum over j = 1..k+1 of weight(j)/(n-j) is built from integer
+weights as one Fraction over the denominator prod (n-j), with each sign
+taken by parity, so a value is exact for any integer arguments, negative
+exponents included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from typing import Callable
 
 from .exact import binomial
 from .report import PASS, CheckResult, expect, expect_within, failed, passed, skipped
@@ -51,8 +56,17 @@ def vandermonde_chu_check(a: int, b: int, x: int) -> CheckResult:
     return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lemmaA", "lhs={got} rhs={want}")
 
 
-# the recurrence residuals evaluate each value again at neighbouring points
-@lru_cache(maxsize=None)
+def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> Fraction:
+    """sum_{j=1..k+1} weight(j)/(n-j) for integer weights, built as one
+    Fraction over the denominator prod_{j=1..k+1} (n-j)."""
+    _check_pole(k, n)
+    numerator, denominator = 0, 1
+    for j in range(1, k + 2):
+        numerator = numerator * (n - j) + weight(j) * denominator
+        denominator *= n - j
+    return Fraction(numerator, denominator)
+
+
 def ones_product_entry(k: int, r: int, n: int) -> Fraction:
     """sum_{j=1..k+1} (-1)^(k+r+j) (n-1)/(n-j) binomial(n-2, k)
     binomial(k, j-1) binomial(n-j-1, r-1).
@@ -60,15 +74,10 @@ def ones_product_entry(k: int, r: int, n: int) -> Fraction:
     Equals 1 exactly when 1 <= r <= k+1; defined for any n outside
     1..k+1.
     """
-    _check_pole(k, n)
-    return sum(
-        (-1) ** (k + r + j)
-        * Fraction(n - 1, n - j)
-        * binomial(n - 2, k)
-        * binomial(k, j - 1)
-        * binomial(n - j - 1, r - 1)
-        for j in range(1, k + 2)
-    )
+    scale = (n - 1) * binomial(n - 2, k)
+    return _sum_over_poles(k, n, lambda j: (
+        (-1) ** ((k + r + j) % 2) * scale * binomial(k, j - 1) * binomial(n - j - 1, r - 1)
+    ))
 
 
 def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
@@ -92,8 +101,6 @@ def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, F
     return first, second
 
 
-# cached for the same reason as ones_product_entry
-@lru_cache(maxsize=None)
 def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
     """sum_{j=1..k+1} (-1)^(k+j-1) (n-1) binomial(n-2, k)
     / ((n-j) binomial(n, b)) * binomial(k, j-1) binomial(j, b).
@@ -101,17 +108,14 @@ def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
     Equals 1 exactly when 0 <= b <= k; requires binomial(n, b) != 0 and
     n outside 1..k+1.
     """
-    _check_pole(k, n)
+    scale = (n - 1) * binomial(n - 2, k)
+    total = _sum_over_poles(k, n, lambda j: (
+        (-1) ** ((k + j - 1) % 2) * scale * binomial(k, j - 1) * binomial(j, b)
+    ))
     nb = binomial(n, b)
     if nb == 0:
         raise ValueError(f"binomial({n}, {b}) vanishes; the normalized sum is undefined")
-    return sum(
-        (-1) ** (k + j - 1)
-        * Fraction((n - 1) * binomial(n - 2, k), (n - j) * nb)
-        * binomial(k, j - 1)
-        * binomial(j, b)
-        for j in range(1, k + 2)
-    )
+    return total / nb
 
 
 def moment_sum_recurrence_residuals(k: int, b: int, n: int) -> tuple[Fraction, Fraction]:
@@ -135,13 +139,11 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
     """
     if not 0 <= b <= k:
         raise ValueError(f"identity stated only for 0 <= b <= k, got b={b}, k={k}")
-    _check_pole(k, n)
+    lhs = _sum_over_poles(k, n, lambda j: (
+        (-1) ** ((j - 1) % 2) * binomial(k, j - 1) * binomial(j, b)
+    ))
     if n == 1 or binomial(n - 2, k) == 0:
         raise ValueError(f"right side undefined at n={n}, k={k}")
-    lhs = sum(
-        Fraction((-1) ** (j - 1), n - j) * binomial(k, j - 1) * binomial(j, b)
-        for j in range(1, k + 2)
-    )
     rhs = Fraction((-1) ** k, n - 1) * Fraction(binomial(n, b), binomial(n - 2, k))
     return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lemmaC", "lhs={got} rhs={want}")
 

@@ -15,7 +15,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
 from typing import Iterator
@@ -72,23 +71,19 @@ def count_formula(n: int, k: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _kernel_by_solve(k: int) -> tuple[int, ...]:
-    solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
-    if any(x.denominator != 1 or x < 0 for x in solution):
-        raise ConjectureViolation(k, solution)
-    return tuple(int(x) for x in solution)
-
-
 def kernel_by_solve(k: int) -> list[int]:
     """The kernel column obtained by solving the kernel matrix system
     with one fraction-free elimination (no determinant is computed).
 
-    This is the conjectured description of the kernel; it hard-fails
-    rather than rounding if the solve is ever non-integral or negative,
-    and the verification suites compare it against brute force.
+    This is the conjectured description of the kernel; it raises
+    ConjectureViolation rather than rounding if the solve is ever
+    non-integral or negative, and the verification suites compare it
+    against brute force.  Each call solves afresh.
     """
-    return list(_kernel_by_solve(k))
+    solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
+    if any(x.denominator != 1 or x < 0 for x in solution):
+        raise ConjectureViolation(k, solution)
+    return [int(x) for x in solution]
 
 
 def _next_column(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,12 +96,12 @@ def components(n: int, k: int, method: str = "recursion") -> list[int]:
     """Component vector [#B(1), ..., #B(k+1)] by the chosen method."""
     oracle.check_size(n, k)
     if method == "recursion":
-        vec = _kernel_by_solve(k)
+        vec = kernel_by_solve(k)
         for _ in range(2 * k, n):
             vec = _next_column(vec)
         return list(vec)
     if method == "transfer_matrix":
-        return list(matrix_times_vector(transfer_matrix(n, k), _kernel_by_solve(k)))
+        return list(matrix_times_vector(transfer_matrix(n, k), kernel_by_solve(k)))
     if method == "cramer":
         vec = solve_cramer(component_matrix(k, n), initial_vector(k))
         for j, x in enumerate(vec, start=1):

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -104,6 +106,20 @@ def test_table_domain_error(capsys):
     code, _, err = run_cli(capsys, "table", "--k", "2", "--n-from", "3", "--n-to", "9")
     assert code == 2
     assert "n >= 2k violated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "9", "--k", "3", "--method", "kernel"),
+        ("table", "--k", "3", "--n-from", "6", "--n-to", "9"),
+    ],
+)
+def test_kernel_conjecture_violation_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(pipeline, "solve_bareiss", lambda a, v: (Fraction(1, 2), Fraction(-1)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: kernel solve at k=3 is not a nonnegative integer vector: [1/2, -1]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +279,17 @@ def test_verify_grid_config(tmp_path, capsys):
 
 
 def test_verify_ones_grid_below_the_window(tmp_path, capsys):
+    # r = -3 reaches r <= -k-2, where the sign exponent k+r+j is negative
     grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps({"k": [0, 2], "n": [0, 8], "r": [0, 3]}))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "lemmaB", "--grid", str(grid_path))
+    grid_path.write_text(json.dumps({"k": [0, 2], "n": [0, 8], "r": [-3, 3]}))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "lemmaB", "--grid", str(grid_path), "--out", str(out_path)
+    )
     assert code == 0
-    assert out.splitlines()[0] == "suite lemmaB: 74 passed, 0 failed, 88 skipped (162 checks)"
+    assert out.splitlines()[0] == "suite lemmaB: 74 passed, 0 failed, 196 skipped (270 checks)"
+    witnesses = [c["witness"] for c in json.loads(out_path.read_text())["checks"] if "witness" in c]
+    assert witnesses and not [w for w in witnesses if re.search(r"\d\.\d", w)]
 
 
 def test_verify_bad_grid_file(tmp_path, capsys):

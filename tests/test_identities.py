@@ -8,6 +8,7 @@ from lisenum import (
     GridSpec,
     binomial,
     binomial_moment_sum,
+    identities,
     moment_identity_check,
     moment_sum_recurrence_residuals,
     ones_entry_recurrence_residuals,
@@ -149,6 +150,72 @@ def test_moment_identity_domain():
 
 
 # ---------------------------------------------------------------------------
+# one-denominator sums against term-by-term references
+# ---------------------------------------------------------------------------
+
+def _reference_pole(k, n):
+    if 1 <= n <= k + 1:
+        raise ValueError(f"denominator n-j vanishes in 1..k+1: n={n}, k={k}")
+
+
+def _reference_ones(k, r, n):
+    _reference_pole(k, n)
+    return sum((
+        (-1) ** ((k + r + j) % 2) * Fraction(n - 1, n - j) * binomial(n - 2, k)
+        * binomial(k, j - 1) * binomial(n - j - 1, r - 1)
+        for j in range(1, k + 2)
+    ), Fraction(0))
+
+
+def _reference_moment(k, b, n):
+    _reference_pole(k, n)
+    nb = binomial(n, b)
+    if nb == 0:
+        raise ValueError(f"binomial({n}, {b}) vanishes; the normalized sum is undefined")
+    return sum((
+        (-1) ** ((k + j - 1) % 2) * Fraction((n - 1) * binomial(n - 2, k), (n - j) * nb)
+        * binomial(k, j - 1) * binomial(j, b)
+        for j in range(1, k + 2)
+    ), Fraction(0))
+
+
+def _reference_moment_sides(k, b, n):
+    _reference_pole(k, n)
+    if n == 1 or binomial(n - 2, k) == 0:
+        raise ValueError(f"right side undefined at n={n}, k={k}")
+    lhs = sum(
+        Fraction((-1) ** ((j - 1) % 2), n - j) * binomial(k, j - 1) * binomial(j, b)
+        for j in range(1, k + 2)
+    )
+    return lhs, Fraction((-1) ** k, n - 1) * Fraction(binomial(n, b), binomial(n - 2, k))
+
+
+def _outcome(fn, *args):
+    """What a call gives, as comparable data: each value with its type and
+    str, or the ValueError text."""
+    try:
+        got = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return [(type(v), v, str(v)) for v in (got if isinstance(got, tuple) else (got,))]
+
+
+def test_sums_match_term_by_term_references(monkeypatch):
+    # the left side of moment_identity_check is read off the expect call
+    monkeypatch.setattr(identities, "expect", lambda name, got, want, *rest: (got, want))
+    for k in range(-1, 9):
+        for n in range(-15, 41):
+            for r_or_b in range(-4, 12):
+                where = (k, r_or_b, n)
+                assert _outcome(ones_product_entry, *where) == _outcome(_reference_ones, *where), where
+                assert _outcome(binomial_moment_sum, *where) == _outcome(_reference_moment, *where), where
+                if 0 <= r_or_b <= k:
+                    assert _outcome(moment_identity_check, *where) == _outcome(
+                        _reference_moment_sides, *where
+                    ), where
+
+
+# ---------------------------------------------------------------------------
 # grid runners
 # ---------------------------------------------------------------------------
 
@@ -168,15 +235,32 @@ def test_ones_grid_runner_statuses():
 
 
 def test_ones_grid_window_has_a_lower_bound():
-    # r = 0 lies below 1 <= r <= k+1: its values are recorded, never asserted
-    results = run_ones_identity_grid(GridSpec(k=(0, 2), n=(0, 8), r=(0, 3)))
+    # r <= 0 lies below 1 <= r <= k+1: its values are recorded, never
+    # asserted.  From r = -k-2 down the sign exponent k+r+j goes negative,
+    # and the recorded values must stay exact.
+    spec = GridSpec(k=(0, 2), n=(0, 8), r=(-4, 3))
+    results = run_ones_identity_grid(spec)
     assert [r for r in results if r.status == "fail"] == []
-    assert (sum(r.status == "pass" for r in results), len(results)) == (56, 144)
-    below = [r for r in results if " r=0 " in r.name]
+    assert (sum(r.status == "pass" for r in results), len(results)) == (56, 288)
+    below = [r for r in results if " r=0 " in r.name or " r=-" in r.name]
     assert below and all(r.status == "skipped" for r in below)
     assert [r.witness for r in below if r.name.startswith("ones-entry")][:2] == [
         "outside 1 <= r <= k+1, recorded value 0"
     ] * 2
+    deep = set()
+    for k in spec.k_values():
+        for n in spec.n_values(k):
+            for r in range(spec.r[0], -k - 1):
+                value = ones_product_entry(k, r, n)
+                assert type(value) is Fraction and value == 0, (k, r, n)
+                deep.add(f"k={k} r={r} n={n}")
+    assert {
+        r.witness for r in results
+        if r.name.split(" ", 1)[1] in deep and "recorded" in r.witness
+    } == {
+        "outside 1 <= r <= k+1, recorded value 0",
+        "outside 1 <= r <= k+1, recorded residuals (0, 0)",
+    }
 
 
 def test_moment_grid_runner_statuses():

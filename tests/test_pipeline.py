@@ -124,7 +124,6 @@ def test_kernel_route_computes_no_determinant(monkeypatch):
     # route 3 solves by one elimination; route 4's solver and the
     # determinant engine behind it are never entered
     _patch_out(monkeypatch, "solve_cramer", "det_bareiss")
-    pipeline._kernel_by_solve.cache_clear()
     assert count(60, 12, "kernel") == count_formula(60, 12)
     table = component_table(7, 14, 40)
     assert table.totals[-1] == count_formula(40, 7)
@@ -133,7 +132,6 @@ def test_kernel_route_computes_no_determinant(monkeypatch):
 
 def test_cramer_route_uses_no_elimination_solve(monkeypatch):
     _patch_out(monkeypatch, "solve_bareiss")
-    pipeline._kernel_by_solve.cache_clear()
     assert count(60, 12, "cramer") == count_formula(60, 12)
     assert components(9, 3, "cramer") == [191, 87, 30, 6]
 
