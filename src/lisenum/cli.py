@@ -9,7 +9,6 @@ a time and writes each chunk of ``format_perm`` lines as one string.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 
@@ -102,6 +101,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
     grid = None
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as handle:

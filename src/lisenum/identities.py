@@ -25,9 +25,8 @@ exponents included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import binomial
 from .report import PASS, CheckResult, expect, expect_within, failed, passed, skipped
@@ -152,8 +151,7 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
 # grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Inclusive integer ranges for every free parameter of the suites.
 
     ``n`` lower bounds are raised per point to max(2k, k+2); ``r`` and
@@ -175,7 +173,7 @@ class GridSpec:
     def from_dict(data: dict) -> "GridSpec":
         if not isinstance(data, dict):
             raise ValueError(f"grid must be an object of [lo, hi] ranges, got {data!r}")
-        known = {f.name for f in fields(GridSpec)}
+        known = set(GridSpec._fields)
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown grid keys: {sorted(bad)}")

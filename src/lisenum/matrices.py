@@ -31,7 +31,6 @@ documentation and error messages; storage is 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,7 +58,6 @@ def _exact(values: Sequence[Exact], size: int, what: str) -> Vector:
     return values
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of ``int``/``Fraction`` entries, kept as given.
 
@@ -67,15 +65,28 @@ class Matrix:
     stores them as tuples and refuses any other entry with ``ValueError``.
     """
 
-    entries: tuple[Vector, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.entries)
+    def __init__(self, entries: Sequence[Sequence[Exact]]) -> None:
+        rows = tuple(entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
         entries = tuple(_exact(row, width, f"row {r}") for r, row in enumerate(rows, 1))
         object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Matrix(entries={self.entries!r})"
 
     @staticmethod
     def identity(n: int) -> "Matrix":

@@ -10,14 +10,12 @@ Four independent routes produce the same numbers:
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import identities, matrices, oracle
 from .exact import binomial, falling_factorial
@@ -146,8 +144,7 @@ def count(n: int, k: int, method: str = "formula") -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentTable:
+class ComponentTable(NamedTuple):
     """One column per n: the k+1 component counts plus the total row."""
 
     k: int
@@ -177,6 +174,7 @@ class ComponentTable:
         if fmt == "csv":
             return "\n".join(",".join(row) for row in self._label_rows(""))
         if fmt == "json":
+            import json
             return json.dumps({
                 "k": self.k,
                 "n_values": list(self.n_values),

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a single named check.
 
     ``witness`` carries the counterexample for failures, or the recorded
@@ -71,13 +70,12 @@ def expect_entries(name: str, cells, group: str) -> CheckResult:
     return CheckResult(name, PASS, None, group)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A deterministic collection of check results for one suite run."""
 
     suite: str
     bounds: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
     runtime_seconds: float = 0.0
 
     @property

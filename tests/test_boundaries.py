@@ -1,8 +1,12 @@
 """The routes share no code beyond ``exact``: each route module may import
 only the package modules pinned here, read from its source with ``ast``.
-The package exports each of its public names exactly once."""
+The package exports each of its public names exactly once, and the CLI
+loads no standard module that its commands do not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -60,3 +64,39 @@ def test_all_names_each_public_attribute_once():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert set(names) == public
+
+
+# Modules no count, csv table or enumerate call needs: ``dataclasses``
+# drags in ``inspect``, ``ast`` and ``dis``, and ``json`` serves only
+# verify and the JSON table.  Each costs every CLI call its import time.
+UNUSED_ON_CLI_PATH = ("dataclasses", "inspect", "ast", "dis", "json")
+
+IMPORT_PROBE = """
+import sys
+from lisenum import cli
+
+def loaded():
+    print("loaded:", *[m for m in %r if m in sys.modules])
+
+for argv in (
+    ["count", "--n", "0", "--k", "0"],
+    ["table", "--k", "2", "--n-from", "4", "--n-to", "6", "--format", "csv"],
+    ["enumerate", "--n", "6", "--k", "2"],
+):
+    assert cli.main(argv) == 0
+loaded()
+assert cli.main(["table", "--k", "2", "--n-from", "4", "--n-to", "6", "--format", "json"]) == 0
+loaded()
+""" % (UNUSED_ON_CLI_PATH,)
+
+
+def test_cli_path_imports_only_what_runs():
+    # -S: no site hook, so the modules seen are the ones lisenum loads
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    reports = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded:")]
+    assert reports == [[], ["json"]]

@@ -285,8 +285,12 @@ def test_grid_runner_determinism():
 
 def test_gridspec_roundtrip():
     assert GridSpec.from_dict({"k": [0, 3], "n": [0, 12]}) == GridSpec(k=(0, 3), n=(0, 12))
-    with pytest.raises(ValueError):
-        GridSpec.from_dict({"q": [0, 1]})
+    assert GridSpec((0, 3), (0, 12)) == GridSpec(k=(0, 3), n=(0, 12))
+    assert GridSpec.from_dict({}) == GridSpec() == GridSpec(
+        (0, 5), (0, 20), (1, 7), (0, 6), (-6, 10), (-1, 6), (-10, 10), (-10, 10)
+    )
+    with pytest.raises(ValueError, match=r"^unknown grid keys: \['q', 'z'\]$"):
+        GridSpec.from_dict({"z": [0, 1], "k": [0, 1], "q": [0, 1]})
     with pytest.raises(ValueError):
         GridSpec.from_dict({"k": [3, 0]})
     with pytest.raises(ValueError):

@@ -150,7 +150,22 @@ def test_constructor_is_from_rows():
     assert m == Matrix(((1, 2), (3, 4)))
     assert m.entries == ((1, 2), (3, 4))
     assert hash(m) == hash(Matrix(((1, 2), (3, 4))))
+    assert Matrix(entries=[[1, 2], [3, 4]]) == m
+    assert m != Matrix(((1, 2), (3, 5)))
+    assert m != ((1, 2), (3, 4))
+    assert repr(m) == "Matrix(entries=((1, 2), (3, 4)))"
     assert det_bareiss(m) == det_dodgson(m) == -2
+
+
+def test_matrix_is_immutable():
+    m = Matrix([[1, 2], [3, 4]])
+    with pytest.raises(AttributeError, match="cannot assign to field 'entries'"):
+        m.entries = ((5,),)
+    with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
+        del m.entries
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    assert m.entries == ((1, 2), (3, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lisenum import (
+    CheckResult,
     ConjectureViolation,
+    GridSpec,
+    VerificationReport,
     component_counts,
     component_table,
     components,
@@ -19,6 +22,7 @@ from lisenum import (
 )
 from lisenum import matrices, pipeline
 from lisenum.pipeline import ORACLE_N_CAP
+from lisenum.report import failed
 
 KERNELS = {
     0: [1],
@@ -305,9 +309,30 @@ def test_report_json_shape():
 
 
 def test_report_summary_mentions_failures():
-    from lisenum.report import VerificationReport, failed
-
     report = VerificationReport("demo", {}, [failed("broken thing", "witness text", "g")])
     assert not report.ok
     assert "broken thing" in report.summary()
     assert "witness text" in report.summary()
+
+
+def test_report_records_construct_and_compare():
+    check = CheckResult("c", "pass")
+    assert check == CheckResult(name="c", status="pass", witness=None, group="")
+    assert check != CheckResult("c", "pass", group="g")
+    assert repr(check) == "CheckResult(name='c', status='pass', witness=None, group='')"
+    report = VerificationReport(suite="demo", bounds={}, checks=[check])
+    assert report == VerificationReport("demo", {}, [check], 0.0)
+    with pytest.raises(TypeError):
+        VerificationReport("demo", {})  # checks has no shared default
+
+
+@pytest.mark.parametrize("record, fields", [
+    (CheckResult("c", "fail", "w", "g"), "name status witness group"),
+    (GridSpec(), "k n r b x y A B"),
+    (component_table(1, 2, 4), "k n_values columns totals"),
+    (VerificationReport("demo", {}, []), "suite bounds checks runtime_seconds"),
+], ids=["CheckResult", "GridSpec", "ComponentTable", "VerificationReport"])
+def test_records_are_immutable(record, fields):
+    for field in fields.split():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
