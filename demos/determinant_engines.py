@@ -5,8 +5,9 @@ solves against them stay integral: the component counts literally are
 column-replacement determinants (route 4).  Route 3 solves the same
 kind of system with one fraction-free elimination instead.  Bareiss
 elimination is the reference engine; Dodgson condensation is the
-independent second opinion, with a Bareiss fallback wherever a zero
-interior entry would block a step.
+independent second opinion.  It condenses the matrix plus c times the
+Pascal matrix, whose interior minors are never 0, and reads the
+determinant off modulo c.
 """
 
 from lisenum import (
@@ -36,9 +37,9 @@ for label, solve in (("elimination", solve_bareiss), ("cramer", solve_cramer)):
     print(f"  {label:>11} solve ->", [int(x) for x in solve(kernel_matrix(2), initial_vector(2))])
 
 print("\nCondensation needs interior entries to be nonzero; the all-ones")
-print("matrix has none, so every step falls back to Bareiss minors:")
+print("matrix has none, so condensation runs on it shifted by a Pascal multiple:")
 ones = Matrix([[1] * 4 for _ in range(4)])
-print(f"  det (dodgson, via fallback) = {det_dodgson(ones)}")
+print(f"  det (dodgson, shifted) = {det_dodgson(ones)}")
 
 print("\nThe parameterized binomial determinant and its closed product form:")
 for k, x, y in ((1, 3, 2), (2, 0, 0), (3, -1, 4)):

@@ -26,20 +26,17 @@ def exact_div(a: int, b: int) -> int:
 def binomial(c: int, d: int) -> int:
     """Generalized binomial coefficient for arbitrary integer arguments.
 
-    Returns 0 whenever ``d < 0``.  Otherwise evaluates the degree-d
-    product c(c-1)...(c-d+1) / d!, which vanishes automatically for
-    0 <= c < d and takes signed nonzero values for negative c, e.g.
-    ``binomial(-2, 1) == -2``.
+    Returns 0 whenever ``d < 0``.  Otherwise equals the degree-d product
+    c(c-1)...(c-d+1) / d!, which vanishes for 0 <= c < d and takes
+    signed nonzero values for negative c, e.g. ``binomial(-2, 1) == -2``;
+    for c < 0 it is read off by upper negation,
+    binomial(c, d) = (-1)^d binomial(d - c - 1, d).
     """
     if d < 0:
         return 0
     if c >= 0:
         return math.comb(c, d)
-    num = 1
-    for t in range(d):
-        num *= c - t
-    # a product of d consecutive integers is divisible by d!
-    return exact_div(num, math.factorial(d))
+    return (-1) ** d * math.comb(d - c - 1, d)
 
 
 def falling_factorial(n: int, i: int) -> int:

@@ -15,10 +15,12 @@ raises ``ValueError``); a ``Fraction`` appears only where a rational
 enters, so the structured matrices and their products stay ``int``.
 
 Determinants come from two independent engines, fraction-free Bareiss
-elimination and Dodgson condensation, which are cross-checked against
-each other throughout the test suite.  Both clear denominators once
-(``exact.integer_rows``), run on integers with exact divisions and
-return a ``Fraction``.  Two solvers share no code:
+elimination and Dodgson condensation, which share no code and are
+cross-checked against each other throughout the test suite.  Both clear
+denominators once (``exact.integer_rows``), run on integers with exact
+divisions and return a ``Fraction``; condensation runs on the rows
+shifted by an integer multiple of the Pascal matrix, so it never meets
+a zero divisor.  Two solvers share no code:
 ``solve_bareiss`` (one fraction-free elimination of the augmented
 system, then back substitution; O(k^3)) is route 3's kernel solve, and
 ``solve_cramer`` (column-replacement determinants: one ``det_bareiss``
@@ -187,33 +189,42 @@ def det_dodgson(a: Matrix) -> Fraction:
     Stage s holds every contiguous s x s minor; the condensation step
     divides by the interior entries of the stage two sizes down.  Each
     entry is a minor (Desnanot-Jacobi), so every division is exact and
-    ``exact_div`` raises if one is not.  A zero interior entry sends the
-    affected minor to :func:`det_bareiss`, so the result is always defined.
+    ``exact_div`` raises if one is not.
+
+    No divisor is ever 0, because the condensation runs on m + cP rather
+    than on the integer rows m: P is the Pascal matrix binomial(i+j, i)
+    (0-based), h the product over rows of sum_j (|m_ij| + P_ij), and
+    c = 2h + 1.  Every contiguous minor of m + tP is a polynomial in t
+    whose leading coefficient is a minor of P, at least 1 since P is
+    totally positive (Karlin 1968), and whose every coefficient is at
+    most h in size: it is bounded by the permanent of |m| + P, which is
+    at most the product of the row sums.  So c lies above every root and
+    no minor vanishes at t = c.  Finally det(m + cP) = det m (mod c) and
+    |det m| <= h, so det m is the balanced residue (det(m + cP) + h) % c - h.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     m, scale = integer_rows(a.entries)
-    prev, curr = [[1] * (n + 1) for _ in range(n + 1)], m
+    pascal = [[math.comb(i + j, i) for j in range(n)] for i in range(n)]
+    h = math.prod(sum(map(abs, row)) + sum(p_row) for row, p_row in zip(m, pascal))
+    c = 2 * h + 1
+    prev = [[1] * (n + 1) for _ in range(n + 1)]
+    curr = [[x + c * p for x, p in zip(row, p_row)] for row, p_row in zip(m, pascal)]
     for size in range(2, n + 1):
         width = n - size + 1
         nxt: list[list[int]] = []
         for i in range(width):
             out_row: list[int] = []
             for j in range(width):
-                divisor = prev[i + 1][j + 1]
-                if divisor == 0:
-                    minor = Matrix(tuple(tuple(row[j:j + size]) for row in m[i:i + size]))
-                    out_row.append(det_bareiss(minor).numerator)
-                else:
-                    numerator = (
-                        curr[i][j] * curr[i + 1][j + 1]
-                        - curr[i][j + 1] * curr[i + 1][j]
-                    )
-                    out_row.append(exact_div(numerator, divisor))
+                numerator = (
+                    curr[i][j] * curr[i + 1][j + 1]
+                    - curr[i][j + 1] * curr[i + 1][j]
+                )
+                out_row.append(exact_div(numerator, prev[i + 1][j + 1]))
             nxt.append(out_row)
         prev, curr = curr, nxt
-    return Fraction(curr[0][0], scale)
+    return Fraction((curr[0][0] + h) % c - h, scale)
 
 
 def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:

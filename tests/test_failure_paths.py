@@ -6,6 +6,7 @@ together with the CLI's exit code 1 and its FAIL line.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,15 +144,27 @@ def test_dodgson_engine_wrong(monkeypatch):
     ]
 
 
-def test_dodgson_fallback_wrong_is_caught(monkeypatch):
-    # the zero at (2, 2) sends the top-left 3x3 minor to the Bareiss
-    # fallback; a wrong minor makes the next condensation step inexact
+def test_dodgson_runs_without_bareiss(monkeypatch):
+    # condensation never builds a minor for the other engine, so neither
+    # det_bareiss nor Matrix may be reached from det_dodgson
+    rng = random.Random(20240229)
+    suite = [pipeline.random_integer_matrix(rng, 2 + index % 5, index % 3 == 0)
+             for index in range(1000)]
+    expected = [matrices.det_bareiss(matrix) for matrix in suite]
     m = Matrix([[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]])
-    assert matrices.det_dodgson(m) == matrices.det_bareiss(m) == 45
-    real = matrices.det_bareiss
-    monkeypatch.setattr(matrices, "det_bareiss", lambda minor: real(minor) + 1)
-    with pytest.raises(ValueError, match=r"inexact division: -69 / -2 leaves remainder -1"):
-        matrices.det_dodgson(m)
+    ones = Matrix([[1] * 4 for _ in range(4)])
+
+    def refuse(*args):
+        raise AssertionError("det_dodgson reached the Bareiss engine")
+
+    monkeypatch.setattr(matrices, "det_bareiss", refuse)
+    monkeypatch.setattr(matrices, "Matrix", refuse)
+    assert matrices.det_dodgson(m) == 45
+    assert matrices.det_dodgson(ones) == 0
+    assert [matrices.det_dodgson(matrix) for matrix in suite] == expected
+    # the suite's own det_bareiss is pipeline's binding, left unpatched
+    checks = pipeline.run_suite("dodgson").checks
+    assert [c.status for c in checks] == ["pass"] * 9
 
 
 def test_cramer_components_non_integral(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact linear algebra: constructors, determinant engines, solves."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -41,18 +42,11 @@ from lisenum.pipeline import COMPONENT_METHODS
 def det_leibniz(m: Matrix) -> Fraction:
     """Independent oracle: signed sum over all permutations."""
     n = m.rows
-    total = Fraction(0)
+    total = 0
     for sigma in permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if sigma[a] > sigma[b]:
-                    sign = -sign
-        product = Fraction(1)
-        for i in range(n):
-            product *= m.entries[i][sigma[i]]
-        total += sign * product
-    return total
+        inversions = sum(sigma[a] > sigma[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(m.entries[i][sigma[i]] for i in range(n))
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +259,21 @@ def test_unit_determinants():
         assert det_dodgson(kernel_matrix(k)) == 1
     assert det_bareiss(component_matrix(3, 9)) == 1
     assert det_dodgson(component_matrix(3, 9)) == 1
+    # entries up to binomial(38, 8) = 48903492 make the shift c 67 digits long
+    assert det_dodgson(component_matrix(8, 40)) == 1
 
 
-def test_dodgson_zero_interior_fallback():
+def test_dodgson_zero_interiors():
     ones = Matrix([[1] * 4 for _ in range(4)])
     assert det_dodgson(ones) == 0
     assert det_bareiss(ones) == 0
     # zero interior with a nonzero determinant
     m = Matrix([[2, 1, 3], [5, 0, 1], [4, 2, 2]])
     assert det_dodgson(m) == det_bareiss(m) == det_leibniz(m)
+    # half the entries zero at 12 x 12: big shifted minors, many zero interiors
+    rng = random.Random(1212)
+    m = Matrix([[rng.choice((0, rng.randint(-9, 9))) for _ in range(12)] for _ in range(12)])
+    assert det_dodgson(m) == det_bareiss(m) != 0
 
 
 def test_bareiss_needs_column_pivoting():
@@ -284,16 +284,22 @@ def test_bareiss_needs_column_pivoting():
 
 
 def test_engines_match_leibniz_on_random_integer_matrices():
+    # dimensions 1..7 at zero densities 0..90 %; one draw in four copies a
+    # row, so it is singular whatever its zeros
     rng = random.Random(1729)
-    for trial in range(120):
-        dim = 1 + trial % 5
-        rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
-        if trial % 3 == 0 and dim >= 3:
-            rows[rng.randint(1, dim - 2)][rng.randint(1, dim - 2)] = 0
+    for trial in range(140):
+        dim = 1 + trial % 7
+        zeros = trial // 7 % 10 / 10
+        rows = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(dim)]
+                for _ in range(dim)]
+        singular = trial % 4 == 0 and dim >= 2
+        if singular:
+            source, target = rng.sample(range(dim), 2)
+            rows[target] = list(rows[source])
         m = Matrix(rows)
-        expected = det_leibniz(m)
-        assert det_bareiss(m) == expected
-        assert det_dodgson(m) == expected
+        expected = 0 if singular else det_leibniz(m)
+        assert det_bareiss(m) == expected, rows
+        assert det_dodgson(m) == expected, rows
 
 
 def test_engines_match_leibniz_on_random_rational_matrices():
