@@ -30,9 +30,25 @@ appends.  If none does, placing the largest value left keeps the
 condition.  In particular the prefix ends in n.
 
 The walk cuts every node that breaks the condition, so each node it
-keeps has a member below it.  It yields each member as it reaches it
-and holds none back, not even within a root, which can have k! of
-them; ``format_perm`` spells each as one line.  Only listing walks;
+keeps has a member below it.  Before it recurses it also skips a value
+v whose ``bisect_left`` position is the last tail, unless v is the
+largest value left: v would become tails[-1] below a value still to
+place, a child the pruning lemma cuts at once.
+
+Free-tail lemma: a node with m values left, sorted as free[0..m-1], has
+every order of them as a member exactly when placing them in increasing
+order appends no tail, that is, when
+``bisect_left(tails, free[i]) <= len(tails) - m + i`` for every i.  An
+increasing subsequence of any order of the free values is one of the
+sorted order too, so if the sorted order stays within n-k, all m!
+orders do.  Such a node is a block ``(head, free)``: the values placed,
+followed by each order of ``free``.  The walk (``_blocks``) yields
+blocks, not members, and never descends below one; a leaf is a block
+with nothing free.  ``permutations(free)`` lists a block lazily and in
+lexicographic order, so members still come one at a time, none held
+back, not even within a root, which can have k! of them.
+``_iter_members`` expands the blocks into members; ``enumerate`` in
+the CLI formats each block's head once.  Only listing walks;
 counting memoizes the count below a node on its state word
 (``_count_word``), as in West's generating trees (1996).
 ``is_member`` rests on ``lis_length``, and the tests compare the walk
@@ -45,13 +61,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import chain, combinations, permutations, zip_longest
 from math import comb, factorial
+from operator import le
 from typing import Iterator, Sequence
 
 from .report import CheckResult, failed, passed
 
 Perm = tuple[int, ...]
+# (head, free): head followed by each order of the sorted values free
+_Block = tuple[Perm, Perm]
 
 
 def check_size(n: int, k: int) -> None:
@@ -127,29 +146,28 @@ def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], list[int]]]:
         yield prefix, [v for v in range(1, n + 1) if v not in taken]
 
 
-def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[Perm]:
-    """Members that continue ``placed``, in lexicographic order.
+def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[_Block]:
+    """Blocks of the members that continue ``placed``, in lexicographic
+    order.
 
     ``tails`` are the patience tails of ``placed`` and ``rest`` the
     sorted values still to place; ``tails`` and ``placed`` are restored
     before returning.  By the pruning lemma there are none when a value
-    in ``rest`` lies above tails[-1].
+    in ``rest`` lies above tails[-1]; by the free-tail lemma the node is
+    one block when each ``rest[i]`` lands on tail len(tails) - m + i or
+    before it, m = len(rest).
     """
     if rest and rest[-1] > tails[-1]:
         return
-    if len(rest) <= 1:
-        yield (*placed, *rest)
+    positions = [bisect_left(tails, v) for v in rest]
+    if all(map(le, positions, range(len(tails) - len(rest), len(tails)))):
+        yield tuple(placed), tuple(rest)
         return
-    if len(rest) == 2:
-        # b, a always works (largest first); a, b only if a leaves
-        # tails[-1] in place, that is, a < tails[-2]
-        a, b = rest
-        if len(tails) > 1 and a < tails[-2]:
-            yield (*placed, a, b)
-        yield (*placed, b, a)
-        return
-    for j, v in enumerate(rest):
-        pos = bisect_left(tails, v)
+    last = len(tails) - 1
+    for j, (v, pos) in enumerate(zip(rest, positions)):
+        if pos == last and v != rest[-1]:
+            # v would become tails[-1] below the largest value left
+            continue
         old, tails[pos] = tails[pos], v
         placed.append(v)
         yield from _place(tails, rest[:j] + rest[j + 1:], placed)
@@ -176,19 +194,32 @@ def _count_word(word: str) -> int:
     )
 
 
-def _iter_component(n: int, k: int, first: int) -> Iterator[Perm]:
-    """Members whose first entry is ``first``, in lexicographic order."""
-    for prefix, rest in _roots(n, k, first):
-        yield from _place(list(prefix), rest, prefix)
-
-
-def _iter_members(n: int, k: int) -> Iterator[Perm]:
-    """The whole class at size (n, k), in lexicographic order."""
+def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
+    """Blocks of the class at size (n, k), lazily and in lexicographic
+    order; with ``prefix`` only those of the members whose first entry
+    is ``prefix``.  The arguments are checked here, before the first
+    block is asked for: a prefix outside 1..n is a domain error.
+    """
+    check_size(n, k)
+    if prefix is not None and not 1 <= prefix <= n:
+        raise ValueError(f"prefix must lie in 1..{n}, got {prefix}")
     if n == 0:
-        yield ()
-        return
-    for first in range(1, k + 2):
-        yield from _iter_component(n, k, first)
+        return iter([((), ())])
+    firsts = range(1, k + 2) if prefix is None else (prefix,)
+    return (
+        block
+        for first in firsts
+        for root, rest in _roots(n, k, first)
+        for block in _place(list(root), rest, root)
+    )
+
+
+def _iter_members(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
+    """The members of ``_blocks(n, k, prefix)``, head + tail for each
+    tail in ``permutations(free)``; checked as ``_blocks`` is."""
+    return chain.from_iterable(
+        map(head.__add__, permutations(free)) for head, free in _blocks(n, k, prefix)
+    )
 
 
 def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
@@ -198,12 +229,7 @@ def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
     prefix > k+1, and a prefix outside 1..n is a domain error.  The
     arguments are checked here, before the first member is asked for.
     """
-    check_size(n, k)
-    if prefix is None:
-        return _iter_members(n, k)
-    if not 1 <= prefix <= n:
-        raise ValueError(f"prefix must lie in 1..{n}, got {prefix}")
-    return _iter_component(n, k, prefix)
+    return _iter_members(n, k, prefix)
 
 
 def component_counts(n: int, k: int) -> list[int]:
@@ -260,15 +286,13 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     return failed(name, f"image {image}, enumerated {member}", group="bijection")
 
 
-@lru_cache(maxsize=None)
-def _line_template(n: int) -> str:
-    return ("" if n <= 9 else ",").join(["%s"] * n)
+def _separator(n: int) -> str:
+    """What stands between the entries of a line of length n: nothing
+    for n <= 9, where every entry is one digit, a comma otherwise."""
+    return "" if n <= 9 else ","
 
 
 def format_perm(mu: Sequence[int]) -> str:
-    """Digit string for n <= 9, comma-separated values otherwise.
-
-    One ``%s`` template per length: ``%s`` applies ``str`` to each entry,
-    so the text is the ``str`` join of the entries, whatever their type.
-    """
-    return _line_template(len(mu)) % tuple(mu)
+    """Digit string for n <= 9, comma-separated values otherwise: the
+    ``str`` join of the entries, whatever their type."""
+    return _separator(len(mu)).join(map(str, mu))

@@ -156,6 +156,11 @@ def test_enumerate_prefix_out_of_range(capsys):
         (0, 0, None),  # one empty line: the empty permutation
         (10, 4, 2),
         (10, 4, 6),  # beyond k+1: nothing
+        # k = 0: one head-only block, where a stray separator could show
+        (1, 0, None),
+        (10, 0, None),
+        (12, 0, None),
+        (12, 6, 7),  # 720 members, one block of 6 free values: two writes
     ],
 )
 def test_enumerate_prints_format_perm_lines(capsys, n, k, prefix):
@@ -175,7 +180,9 @@ def test_enumerate_writes_pinned_stdout_a_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["enumerate", "--n", "11", "--k", "5"]) == 0
     assert len(writes) > 1
-    assert max(text.count("\n") for text in writes) <= cli.ENUMERATE_CHUNK
+    # every write but the last holds exactly one chunk of lines
+    assert all(text.count("\n") == cli.ENUMERATE_CHUNK for text in writes[:-1])
+    assert 0 < writes[-1].count("\n") <= cli.ENUMERATE_CHUNK
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == ENUMERATE_11_5_SHA256
 
 
@@ -206,7 +213,7 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     def entered(*args):
         raise AssertionError("the brute-force walk was entered")
 
-    for name in ("_roots", "_iter_members", "_iter_component", "_count_word"):
+    for name in ("_roots", "_place", "_blocks", "_iter_members", "_count_word"):
         monkeypatch.setattr(oracle, name, entered)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -138,6 +138,33 @@ def test_enumeration_matches_definition_filter():
             assert list(iter_class(n, k)) == sorted(p for p in every if is_member(p, n, k))
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_blocks_are_free_tails(n):
+    # One pass over all n! permutations, in lexicographic order.  The
+    # first n-k entries increase iff the leading increasing run r is at
+    # least n-k, and r <= lis_length(p), so p is a member at (n, k) iff
+    # r == lis_length(p) == n-k; k <= n/2 needs r >= n/2.
+    members = {k: [] for k in range(n // 2 + 1)}
+    for p in permutations(range(1, n + 1)):
+        r = min(n, 1)
+        while r < n and p[r - 1] < p[r]:
+            r += 1
+        if 2 * r >= n and lis_length(p) == r:
+            members[n - r].append(p)
+    for k, expected in members.items():
+        blocks = list(oracle._blocks(n, k))
+        # the last order of each block comes before the first of the next
+        for (head, free), (next_head, next_free) in zip(blocks, blocks[1:]):
+            assert head + free[::-1] < next_head + next_free
+        expanded = []
+        for head, free in blocks:
+            assert list(free) == sorted(free)
+            orders = [head + tail for tail in permutations(free)]
+            assert all(is_member(mu, n, k) for mu in orders), (head, free)
+            expanded += orders
+        assert expanded == expected, (n, k)
+
+
 # every cell up to the oracle's n cap with at most 10^5 candidates
 SCAN_CELLS = [
     pytest.param(n, k, id=f"n{n}-k{k}")
