@@ -26,8 +26,12 @@ system, then back substitution; O(k^3)) is route 3's kernel solve, and
 ``solve_cramer`` (column-replacement determinants: one ``det_bareiss``
 and one fraction-free Gauss-Jordan pass of the augmented system whose
 last column ends, by Sylvester's identity, as +-det(A_i); about k^3/2
-inner steps, O(k^3)) is route 4's method.  Matrix indices are 1-based in
-documentation and error messages; storage is 0-based.
+inner steps, O(k^3)) is route 4's method.  ``det_bareiss`` and the
+Gauss-Jordan pass share one fraction-free step, which clears a pivot
+column in the rows it is given; ``solve_bareiss`` keeps its own loop.
+All three eliminations pivot on the first nonzero entry of column t at
+or below row t.  Matrix indices are 1-based in documentation and error
+messages; storage is 0-based.
 """
 
 from __future__ import annotations
@@ -136,13 +140,14 @@ def dot(u: Sequence[Exact], v: Sequence[Exact]) -> Exact:
 # determinant engines
 # ---------------------------------------------------------------------------
 
-def _bareiss_step(m: list[list[int]], t: int, prev: int) -> None:
-    """Clear column ``t`` below row ``t`` of the integer rows ``m``, every
-    entry right of it becoming (entry * pivot - left * top) / prev, a
-    division that is exact (Bareiss 1968); a remainder raises."""
+def _bareiss_step(m: list[list[int]], t: int, prev: int, rows: list[list[int]]) -> None:
+    """Clear column ``t`` in each of ``rows``, rows of the integer matrix
+    ``m`` other than the pivot row ``t``: every entry right of it becomes
+    (entry * pivot - left * top) / prev, a division that is exact
+    (Bareiss 1968); a remainder raises."""
     top = m[t]
     p = top[t]
-    for row in m[t + 1:]:
+    for row in rows:
         f = row[t]
         for j in range(t + 1, len(top)):
             num = row[j] * p - f * top[j]
@@ -157,9 +162,15 @@ def det_bareiss(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Denominators are cleared row by row first, so the elimination core
-    runs on integers where every interior division is exact.  Pivots are
-    located by full search over the trailing submatrix, so no nonzero
-    pivot is ever missed and nothing divides by zero.
+    runs on integers where every interior division is exact.  Step t
+    takes as pivot the first nonzero entry of column t at or below row
+    t, as both solvers do, and swaps its row up.  If there is none, the
+    determinant is 0: after step t-1 each trailing entry (i, j) is the
+    (t+1) x (t+1) minor of the leading t x t block bordered by row i and
+    column j, so by Sylvester's identity the trailing block has
+    determinant det * prev^(n-t-1), with prev the last pivot (1 at
+    t = 0), never 0.  A zero column makes that block singular, so
+    det = 0.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
@@ -167,18 +178,13 @@ def det_bareiss(a: Matrix) -> Fraction:
     n = len(m)
     prev = sign = 1
     for t in range(n - 1):
-        pivot = next(((i, j) for i in range(t, n) for j in range(t, n) if m[i][j]), None)
-        if pivot is None:
+        pi = next((i for i in range(t, n) if m[i][t]), None)
+        if pi is None:
             return Fraction(0)
-        pi, pj = pivot
         if pi != t:
             m[t], m[pi] = m[pi], m[t]
             sign = -sign
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-            sign = -sign
-        _bareiss_step(m, t, prev)
+        _bareiss_step(m, t, prev, m[t + 1:])
         prev = m[t][t]
     return Fraction(sign * m[n - 1][n - 1], scale)
 
@@ -269,25 +275,6 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
     return tuple(x)
 
 
-def _jordan_step(m: list[list[int]], t: int, prev: int) -> None:
-    """Clear column ``t`` of the integer rows ``m`` in every row but row
-    ``t``, above it as well as below, with the fraction-free update of
-    :func:`_bareiss_step`; a remainder raises."""
-    top = m[t]
-    p = top[t]
-    for row in m:
-        if row is top:
-            continue
-        f = row[t]
-        for j in range(t + 1, len(top)):
-            num = row[j] * p - f * top[j]
-            q, r = divmod(num, prev)
-            if r:
-                exact_div(num, prev)  # raises the inexact-division error
-            row[j] = q
-        row[t] = 0
-
-
 def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     """Solve a x = v by column-replacement determinants (Cramer's rule).
 
@@ -296,12 +283,14 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     det(A_i) / det(a), with A_i the matrix ``a`` with column i replaced
     by v.  One fraction-free Gauss-Jordan pass over the augmented rows
     [a | v] with row pivoting clears each pivot column above the pivot
-    as well as below it (Bareiss 1968, the Bareiss-Montante method).
-    By Sylvester's identity the last pivot ends as +-det(a) and entry i
-    of the v column as +-det(A_i), one sign for all, so every output is
-    still a determinant.  The pass's last pivot is checked against an
-    independent ``det_bareiss`` of ``a``.  About k^3/2 inner steps,
-    O(k^3); route 3 solves with :func:`solve_bareiss` instead.
+    as well as below it (Bareiss 1968, the Bareiss-Montante method),
+    with the update of ``det_bareiss``: ``_bareiss_step`` given every
+    row but the pivot's.  By Sylvester's identity the last pivot ends
+    as +-det(a) and entry i of the v column as +-det(A_i), one sign for
+    all, so every output is still a determinant.  The pass's last pivot
+    is checked against a separate ``det_bareiss`` of ``a``.  About k^3/2
+    inner steps, O(k^3); route 3 solves with :func:`solve_bareiss`
+    instead.
     """
     if a.rows != a.cols:
         raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
@@ -319,7 +308,7 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
         if pi != t:
             m[t], m[pi] = m[pi], m[t]
             sign = -sign
-        _jordan_step(m, t, prev)
+        _bareiss_step(m, t, prev, m[:t] + m[t + 1:])
         prev = m[t][t]
     last = Fraction(sign * prev, scale)
     if last != d:

@@ -56,6 +56,47 @@ def test_the_scan_sees_package_imports():
     assert package_imports("cli") >= {"identities", "oracle", "pipeline"}
 
 
+def reaches(module: str) -> dict[str, set[str]]:
+    """For each top-level definition of ``module``, the other top-level
+    definitions it reaches by following the names it uses, transitively."""
+    defs = {
+        node.name: node for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    uses = {
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs}
+        for name, node in defs.items()
+    }
+    found = {}
+    for name in defs:
+        seen, todo = set(), [name]
+        while todo:
+            for used in uses[todo.pop()] - seen:
+                seen.add(used)
+                todo.append(used)
+        found[name] = seen - {name}
+    return found
+
+
+# README: route 3's solver shares no elimination code with route 4, and
+# the two determinant engines share no code.
+SHARE_NO_CODE = {
+    "solve_bareiss": {"det_bareiss", "_bareiss_step", "solve_cramer", "det_dodgson"},
+    "det_dodgson": {"det_bareiss", "_bareiss_step", "solve_bareiss", "solve_cramer"},
+}
+
+
+@pytest.mark.parametrize("function", SHARE_NO_CODE)
+def test_matrices_functions_share_no_code(function):
+    assert not reaches("matrices")[function] & SHARE_NO_CODE[function]
+
+
+def test_the_scan_follows_calls():
+    found = reaches("matrices")
+    assert found["solve_cramer"] >= {"det_bareiss", "_bareiss_step", "SingularMatrixError"}
+    assert "_bareiss_step" in found["det_bareiss"]
+
+
 def test_all_names_each_public_attribute_once():
     names = lisenum.__all__
     assert len(names) == len(set(names))

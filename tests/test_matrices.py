@@ -35,7 +35,7 @@ from lisenum import (
     solve_cramer,
     transfer_matrix,
 )
-from lisenum.matrices import _bareiss_step, _jordan_step
+from lisenum.matrices import _bareiss_step
 from lisenum.pipeline import COMPONENT_METHODS
 
 
@@ -276,11 +276,15 @@ def test_dodgson_zero_interiors():
     assert det_dodgson(m) == det_bareiss(m) != 0
 
 
-def test_bareiss_needs_column_pivoting():
-    # leading column is zero; full pivot search must look sideways
+def test_bareiss_needs_row_pivoting():
+    # the first two entries of column 1 are zero; the pivot search goes down to row 3
     m = Matrix([[0, 0, 2], [0, 3, 1], [5, 1, 4]])
     assert det_bareiss(m) == det_leibniz(m) == -30
     assert det_dodgson(m) == -30
+    # after step 1, column 2 is zero below the diagonal while the entries
+    # to its right are not: no pivot in the column means the matrix is singular
+    m = Matrix([[1, 2, 3], [2, 4, 7], [3, 6, 1]])
+    assert det_bareiss(m) == det_dodgson(m) == det_leibniz(m) == 0
 
 
 def test_engines_match_leibniz_on_random_integer_matrices():
@@ -386,16 +390,16 @@ def test_solve_cramer_determinants_match_both_engines():
     assert solved > 100 and singular > 10
 
 
-def test_bareiss_loop_refuses_an_inexact_division():
-    # 5 * 1 - 3 * 2 = -1 is not a multiple of the wrong previous pivot 2
+@pytest.mark.parametrize(
+    "m, t, rows",
+    [([[1, 2], [3, 5]], 0, slice(1, None)), ([[1, 2, 1], [0, 5, 3]], 1, slice(0, 1))],
+    ids=["below", "above"],
+)
+def test_bareiss_step_refuses_an_inexact_division(m, t, rows):
+    # below the pivot 5 * 1 - 3 * 2 = -1, above it 1 * 5 - 2 * 3 = -1:
+    # neither is a multiple of the wrong previous pivot 2
     with pytest.raises(ValueError, match="^inexact division"):
-        _bareiss_step([[1, 2], [3, 5]], 0, 2)
-
-
-def test_jordan_pass_refuses_an_inexact_division():
-    # the row above the pivot: 1 * 5 - 2 * 3 = -1 is not a multiple of 2
-    with pytest.raises(ValueError, match="^inexact division"):
-        _jordan_step([[1, 2, 1], [0, 5, 3]], 1, 2)
+        _bareiss_step(m, t, 2, m[rows])
 
 
 def test_solve_cramer_checks_its_last_pivot(monkeypatch):
