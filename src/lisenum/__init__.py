@@ -24,8 +24,6 @@ from .matrices import (
     Matrix,
     SingularMatrixError,
     binomial_det_product,
-    check_counting_row,
-    check_transfer_consistency,
     component_matrix,
     counting_row,
     det_bareiss,
@@ -42,7 +40,6 @@ from .matrices import (
     transfer_matrix,
 )
 from .oracle import (
-    check_insertion_bijection,
     component_counts,
     format_perm,
     insert_prefix,
@@ -53,6 +50,9 @@ from .oracle import (
 from .pipeline import (
     ComponentTable,
     ConjectureViolation,
+    check_counting_row,
+    check_insertion_bijection,
+    check_transfer_consistency,
     component_table,
     components,
     count,

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: count, table, enumerate, verify.  Exit codes are stable
-for CI use: 0 success, 1 verification failure, 2 usage or domain error.
+for CI use: 0 success, 1 verification failure, 2 usage or domain error,
+or running out of memory.
 ``enumerate`` reads the blocks of the lazy walk (``oracle._blocks``: a
 head followed by every order of its free values), formats each head
 once and appends the orders of the free values to it.  It writes the
@@ -16,7 +17,7 @@ import sys
 from itertools import chain, islice, permutations
 from typing import Iterator
 
-from . import oracle, pipeline
+from . import exact, oracle, pipeline
 from .identities import GridSpec
 from .pipeline import COUNT_METHODS, DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_N_MAX, SUITES
 
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_oracle_budget(n: int, k: int) -> None:
     """Refuse brute force beyond the default candidate budget, before any output."""
-    oracle.check_size(n, k)
+    exact.check_size(n, k)
     if not pipeline.within_budget(n, k, DEFAULT_BUDGET):
         raise ValueError(
             f"brute force at n={n}, k={k} spans {oracle.candidate_count(n, k)} "
@@ -150,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ValueError, ArithmeticError, OSError, pipeline.ConjectureViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,10 @@ every quantity is a Python ``int`` (unbounded precision) or a
 positive denominator.  No float appears anywhere.  Both print exactly
 with ``str``: a decimal integer, or lowest-terms ``p/q`` (just ``n``
 when the denominator is 1).
+
+The module also owns the one size rule of the package, ``check_size``:
+a problem size (n, k) needs k >= 0 and n >= 2k.  Every route, the
+table and the CLI take it from here.
 """
 
 from __future__ import annotations
@@ -13,6 +17,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+def check_size(n: int, k: int) -> None:
+    """Validate a problem size.
+
+    Requires n >= 2k and k >= 0.  n = 0 (forcing k = 0) is admitted as
+    the degenerate seed of the k = 0 recursion: the class then holds
+    exactly the empty permutation.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got k={k}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
+    if n < 2 * k:
+        raise ValueError(f"n >= 2k violated: n={n}, k={k}")
 
 
 def exact_div(a: int, b: int) -> int:

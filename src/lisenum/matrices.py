@@ -10,6 +10,11 @@ problem, all of size (k+1) x (k+1):
 * ``counting_row(k, n)``    is the row functional with row . matrix = ones,
   so that row . initial_vector is the total count.
 
+Each takes its size rule from ``exact.check_size``; the two that
+describe the system at n = 2k check (2k, k).  The module builds no
+check records: the consistency checks over these constructors live in
+``pipeline``, next to the suites that run them.
+
 Entries are ``int`` or ``Fraction`` values kept as given (anything else
 raises ``ValueError``); a ``Fraction`` appears only where a rational
 enters, so the structured matrices and their products stay ``int``.
@@ -40,8 +45,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import binomial, exact_div, integer_rows
-from .report import CheckResult, expect_entries
+from .exact import binomial, check_size, exact_div, integer_rows
 
 Exact = int | Fraction
 Vector = tuple[Exact, ...]
@@ -327,8 +331,7 @@ def transfer_matrix(n: int, k: int) -> Matrix:
     matrix is upper triangular with unit diagonal and reduces to the
     identity at n = 2k.
     """
-    if k < 0 or n < 2 * k:
-        raise ValueError(f"n >= 2k violated: n={n}, k={k}")
+    check_size(n, k)
     return Matrix(
         [
             [binomial(r + n - 2 * k - i - 1, r - i) for r in range(1, k + 2)]
@@ -344,8 +347,7 @@ def kernel_matrix(k: int) -> Matrix:
     generalized binomial so negative upper arguments contribute their
     signed values.  Equals ``component_matrix(k, 2k)``.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
+    check_size(2 * k, k)
     return Matrix(
         [
             [binomial(i + j - 2 * k - 1, j - 1) for j in range(1, k + 2)]
@@ -359,8 +361,7 @@ def component_matrix(k: int, n: int) -> Matrix:
 
     Entry (i, j), 1-based, is (-1)^(j-1) binomial(n - i - 1, j - 1).
     """
-    if k < 0 or n < 2 * k:
-        raise ValueError(f"n >= 2k violated: n={n}, k={k}")
+    check_size(n, k)
     return Matrix(
         [
             [(-1) ** (j - 1) * binomial(n - i - 1, j - 1) for j in range(1, k + 2)]
@@ -374,8 +375,7 @@ def initial_vector(k: int) -> tuple[int, ...]:
 
     sum_b (-1)^(k-b) binomial(k, b) binomial(i, b) b!
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
+    check_size(2 * k, k)
     return tuple(
         sum(
             (-1) ** (k - b) * binomial(k, b) * binomial(i, b) * math.factorial(b)
@@ -392,8 +392,7 @@ def counting_row(k: int, n: int) -> Vector:
     so u . initial_vector(k) is the total count.  Requires n > k+1; at
     n <= k+1 the denominator n - j vanishes inside the range.
     """
-    if k < 0 or n < 2 * k:
-        raise ValueError(f"n >= 2k violated: n={n}, k={k}")
+    check_size(n, k)
     if n <= k + 1:
         raise ValueError(
             f"counting row undefined for n <= k+1: denominator n-j vanishes at j={n} "
@@ -443,31 +442,3 @@ def binomial_det_product(k: int, x: int, y: int) -> Fraction:
             )
         total *= Fraction(binomial(i + 1 + x + y, i + x), divisor)
     return total
-
-
-# ---------------------------------------------------------------------------
-# consistency checks used by the verification suites
-# ---------------------------------------------------------------------------
-
-def check_transfer_consistency(k: int, n: int) -> CheckResult:
-    """component_matrix(k, n) @ transfer_matrix(n, k) == kernel_matrix(k)."""
-    product = mat_mul(component_matrix(k, n), transfer_matrix(n, k))
-    return expect_entries(
-        f"matrix-product-collapse k={k} n={n}",
-        (
-            (f"entry ({i}, {j})", got, want)
-            for i, (row, want_row) in enumerate(zip(product.entries, kernel_matrix(k).entries), 1)
-            for j, (got, want) in enumerate(zip(row, want_row), 1)
-        ),
-        "lemmaA",
-    )
-
-
-def check_counting_row(k: int, n: int) -> CheckResult:
-    """counting_row(k, n) . component_matrix(k, n) == (1, ..., 1)."""
-    product = row_times_matrix(counting_row(k, n), component_matrix(k, n))
-    return expect_entries(
-        f"counting-row-normalization k={k} n={n}",
-        ((f"column {j}", value, 1) for j, value in enumerate(product, 1)),
-        "lemmaB",
-    )

@@ -53,39 +53,22 @@ counting memoizes the count below a node on its state word
 (``_count_word``), as in West's generating trees (1996).
 ``is_member`` rests on ``lis_length``, and the tests compare the walk
 with a filter of all n! permutations.
-``check_insertion_bijection`` compares the walk at n+1 with the images
-of the walk at n under prefix insertion, list against list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, combinations, permutations, zip_longest
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 from operator import le
 from typing import Iterator, Sequence
 
-from .report import CheckResult, failed, passed
+from .exact import check_size
 
 Perm = tuple[int, ...]
 # (head, free): head followed by each order of the sorted values free
 _Block = tuple[Perm, Perm]
-
-
-def check_size(n: int, k: int) -> None:
-    """Validate a problem size.
-
-    Requires n >= 2k and k >= 0.  n = 0 (forcing k = 0) is admitted as
-    the degenerate seed of the k = 0 recursion: the class then holds
-    exactly the empty permutation.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got n={n}")
-    if n < 2 * k:
-        raise ValueError(f"n >= 2k violated: n={n}, k={k}")
 
 
 def check_permutation(mu: Sequence[int]) -> None:
@@ -261,29 +244,6 @@ def insert_prefix(mu: Sequence[int], i: int) -> Perm:
     if not 1 <= i <= r:
         raise ValueError(f"prefix insertion needs 1 <= i <= first entry {r}, got i={i}")
     return (i,) + tuple(a + 1 if a >= i else a for a in mu)
-
-
-def check_insertion_bijection(n: int, k: int) -> CheckResult:
-    """Verify that prefix insertion is a bijection onto the next column.
-
-    Insertion keeps the order of the values it shifts, so the images
-    under target prefix i = 1..k+1 of the members with first entry
-    r >= i, taken in lexicographic order, must list the class at n+1 in
-    lexicographic order.  The first mismatch is the witness, ``none``
-    past the end of either list.
-    """
-    check_size(n, k)
-    if n == 0:
-        raise ValueError("insertion is undefined from the empty permutation; need n >= 1")
-    name = f"insertion-bijection k={k} n={n}->{n + 1}"
-    source = list(_iter_members(n, k))
-    images = [insert_prefix(mu, i) for i in range(1, k + 2) for mu in source if mu[0] >= i]
-    members = list(_iter_members(n + 1, k))
-    if images == members:
-        return passed(name, group="bijection")
-    pair = next(pair for pair in zip_longest(images, members) if pair[0] != pair[1])
-    image, member = ("none" if mu is None else format_perm(mu) for mu in pair)
-    return failed(name, f"image {image}, enumerated {member}", group="bijection")
 
 
 def _separator(n: int) -> str:

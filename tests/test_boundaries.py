@@ -19,8 +19,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 ALLOWED = {
     "exact": set(),
     "report": set(),
-    "oracle": {"report"},
-    "matrices": {"exact", "report"},
+    "oracle": {"exact"},
+    "matrices": {"exact"},
     "identities": {"exact", "report"},
 }
 

@@ -243,6 +243,31 @@ def test_brute_force_commands_skip_the_verify_n_cap(capsys):
     assert (code, len(out.splitlines())) == (0, n - 1)
 
 
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "1000000000", "--k", "0", "--method", "oracle"),
+        ("enumerate", "--n", "1000000000", "--k", "0"),
+    ],
+)
+def test_out_of_memory_exits_2(argv):
+    # one candidate fits the budget, but the walk would build an n-entry
+    # prefix: tens of GB, so the child runs under a 1 GiB address space
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "lisenum", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1] == "error: out of memory"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

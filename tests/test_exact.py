@@ -1,12 +1,28 @@
-"""Scalar arithmetic: generalized binomial, falling factorial, printed form."""
+"""Scalar arithmetic: generalized binomial, falling factorial, printed
+form; and the size rule, which every public (n, k) entry point takes
+from ``exact.check_size``."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lisenum import binomial, exact_div, falling_factorial
+from lisenum import (
+    binomial,
+    component_counts,
+    component_matrix,
+    component_table,
+    components,
+    count,
+    counting_row,
+    exact_div,
+    falling_factorial,
+    iter_class,
+    transfer_matrix,
+)
+from lisenum.pipeline import COMPONENT_METHODS, COUNT_METHODS
 
 
 @pytest.mark.parametrize(
@@ -107,3 +123,28 @@ def test_fraction_arithmetic_cross_multiplication(a, b, c, d):
 def test_scalar_str(value, text):
     # witnesses print exact values with str: decimal ints, lowest-terms p/q
     assert str(value) == text
+
+
+SIZE_ERRORS = {
+    (3, 2): "n >= 2k violated: n=3, k=2",
+    (-1, 0): "n must be nonnegative, got n=-1",
+    (2, -1): "k must be nonnegative, got k=-1",
+}
+
+SIZED_ENTRY_POINTS = {
+    **{f"count-{m}": lambda n, k, m=m: count(n, k, m) for m in COUNT_METHODS},
+    **{f"components-{m}": lambda n, k, m=m: components(n, k, m) for m in COMPONENT_METHODS},
+    "component_table": lambda n, k: component_table(k, n, n + 3),
+    "iter_class": iter_class,
+    "component_counts": component_counts,
+    "transfer_matrix": transfer_matrix,
+    "component_matrix": lambda n, k: component_matrix(k, n),
+    "counting_row": lambda n, k: counting_row(k, n),
+}
+
+
+@pytest.mark.parametrize("size", SIZE_ERRORS)
+@pytest.mark.parametrize("entry", SIZED_ENTRY_POINTS)
+def test_every_entry_point_takes_the_one_size_rule(entry, size):
+    with pytest.raises(ValueError, match=f"^{re.escape(SIZE_ERRORS[size])}$"):
+        SIZED_ENTRY_POINTS[entry](*size)

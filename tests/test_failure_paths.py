@@ -343,7 +343,7 @@ def test_bijection_image_out_of_order(monkeypatch, capsys):
         return image[:-2] + (image[-1], image[-2])
 
     monkeypatch.setattr(oracle, "insert_prefix", swapped)
-    result = oracle.check_insertion_bijection(4, 2)
+    result = pipeline.check_insertion_bijection(4, 2)
     assert (result.group, result.name, result.status, result.witness) == (
         "bijection", "insertion-bijection k=2 n=4->5", "fail", "image 12534, enumerated 12543",
     )
@@ -373,7 +373,7 @@ def test_bijection_member_missing(monkeypatch, n, k, size, drop, witness):
         return iter(members)
 
     monkeypatch.setattr(oracle, "_iter_members", planted)
-    result = oracle.check_insertion_bijection(n, k)
+    result = pipeline.check_insertion_bijection(n, k)
     assert (result.status, result.witness) == ("fail", witness)
     assert sizes == [n, n + 1]
 
