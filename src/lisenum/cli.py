@@ -121,14 +121,8 @@ def _cmd_verify(args) -> int:
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as handle:
             grid = GridSpec.from_dict(json.load(handle))
-    k_max = args.k_max if args.k_max is not None else (
-        grid.k[1] if grid is not None else DEFAULT_K_MAX
-    )
-    n_max = args.n_max if args.n_max is not None else (
-        grid.n[1] if grid is not None else DEFAULT_N_MAX
-    )
     report = pipeline.run_suite(
-        args.suite, k_max=k_max, n_max=n_max, budget=args.budget, grid=grid
+        args.suite, k_max=args.k_max, n_max=args.n_max, budget=args.budget, grid=grid
     )
     print(report.summary())
     if args.out is not None:

@@ -47,8 +47,8 @@ blocks, not members, and never descends below one; a leaf is a block
 with nothing free.  ``permutations(free)`` lists a block lazily and in
 lexicographic order, so members still come one at a time, none held
 back, not even within a root, which can have k! of them.
-``_iter_members`` expands the blocks into members; ``enumerate`` in
-the CLI formats each block's head once.  Only listing walks;
+``iter_class`` expands the blocks into members; ``enumerate`` in the
+CLI formats each block's head once.  Only listing walks;
 counting memoizes the count below a node on its state word
 (``_count_word``), as in West's generating trees (1996).
 ``is_member`` rests on ``lis_length``, and the tests compare the walk
@@ -197,22 +197,18 @@ def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
     )
 
 
-def _iter_members(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
-    """The members of ``_blocks(n, k, prefix)``, head + tail for each
-    tail in ``permutations(free)``; checked as ``_blocks`` is."""
-    return chain.from_iterable(
-        map(head.__add__, permutations(free)) for head, free in _blocks(n, k, prefix)
-    )
-
-
 def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
-    """Members at size (n, k), lazily and in lexicographic order.
+    """Members at size (n, k), lazily and in lexicographic order: head +
+    tail for each block of ``_blocks(n, k, prefix)`` and each tail in
+    ``permutations(free)``.
 
     With ``prefix`` only those whose first entry is ``prefix``: none for
     prefix > k+1, and a prefix outside 1..n is a domain error.  The
     arguments are checked here, before the first member is asked for.
     """
-    return _iter_members(n, k, prefix)
+    return chain.from_iterable(
+        map(head.__add__, permutations(free)) for head, free in _blocks(n, k, prefix)
+    )
 
 
 def component_counts(n: int, k: int) -> list[int]:

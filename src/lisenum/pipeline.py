@@ -4,14 +4,14 @@ Four independent routes produce the same numbers:
 
 * ``formula``    the alternating closed formula,
 * ``oracle``     brute-force enumeration,
-* ``kernel``     the column recursion seeded by the solved kernel,
+* ``kernel``     the solved kernel times the binomial transfer matrix,
 * ``cramer``     column-replacement determinant solves at size n.
 
 The check builders the suites run over the route modules
 (``check_transfer_consistency``, ``check_counting_row``,
 ``check_insertion_bijection``) live here, so no route module builds a
 check record.  They reach the routes through module attributes
-(``matrices.mat_mul``, ``oracle._iter_members`` and the like), which
+(``matrices.mat_mul``, ``oracle.iter_class`` and the like), which
 keeps a patched attribute in effect.
 """
 
@@ -132,7 +132,7 @@ def count(n: int, k: int, method: str = "formula") -> int:
     if method == "formula":
         return count_formula(n, k)
     if method == "kernel":
-        return sum(components(n, k, "recursion"))
+        return sum(components(n, k, "transfer_matrix"))
     if method == "oracle":
         return sum(components(n, k, "oracle"))
     if method == "cramer":
@@ -406,9 +406,9 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     if n == 0:
         raise ValueError("insertion is undefined from the empty permutation; need n >= 1")
     name = f"insertion-bijection k={k} n={n}->{n + 1}"
-    source = list(oracle._iter_members(n, k))
+    source = list(oracle.iter_class(n, k))
     images = [oracle.insert_prefix(mu, i) for i in range(1, k + 2) for mu in source if mu[0] >= i]
-    members = list(oracle._iter_members(n + 1, k))
+    members = list(oracle.iter_class(n + 1, k))
     if images == members:
         return passed(name, group="bijection")
     pair = next(pair for pair in zip_longest(images, members) if pair[0] != pair[1])
@@ -471,12 +471,19 @@ def _suite_dodgson() -> list[CheckResult]:
 
 def run_suite(
     suite: str,
-    k_max: int = DEFAULT_K_MAX,
-    n_max: int = DEFAULT_N_MAX,
+    k_max: int | None = None,
+    n_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
     grid: GridSpec | None = None,
 ) -> VerificationReport:
-    """Run one named verification suite and return its report."""
+    """Run one named verification suite and return its report.
+
+    A bound left out is the grid's upper bound when a grid is given,
+    else DEFAULT_K_MAX or DEFAULT_N_MAX."""
+    if k_max is None:
+        k_max = grid.k[1] if grid is not None else DEFAULT_K_MAX
+    if n_max is None:
+        n_max = grid.n[1] if grid is not None else DEFAULT_N_MAX
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; use one of {SUITES}")
     if k_max < 0:

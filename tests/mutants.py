@@ -1,0 +1,259 @@
+"""Mutation check, run by hand: ``python tests/mutants.py [NAME ...]``.
+
+Each mutant is an exact text replacement in one file of ``src/lisenum``
+together with the tests that should kill it.  The script copies ``src/``
+and ``tests/`` into a temporary directory (several tests find ``src/``
+next to their own file), runs every named test there once unmutated,
+then applies one mutant at a time and runs its tests in a child pytest
+with the copy first on ``PYTHONPATH``.  A mutant is killed when one of
+its tests fails (or the child runs past ``TIMEOUT_S``) and survives when
+they all pass.
+
+A mutant whose old text does not occur exactly once in its file is
+stale, and the script stops before running anything: a refactor has to
+carry its mutants along.  Pytest collects only ``test_*.py``, so tier-1
+does not run this file.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 for
+a stale mutant or named tests that fail unmutated.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+# address space of each child pytest, so a mutant that blows up the walk
+# fails with MemoryError rather than starving the host
+MEMORY_CAP = 2 << 30
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/lisenum
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # exact: upper negation of the generalized binomial
+    Mutant(
+        "binomial-upper-negation", "exact.py",
+        "return (-1) ** d * math.comb(d - c - 1, d)",
+        "return (-1) ** d * math.comb(d - c, d)",
+        ("tests/test_exact.py::test_binomial_against_product_oracle",),
+    ),
+    # route 2: the walk's pruning lemma, free-tail lemma and skip rule
+    Mutant(
+        "place-pruning", "oracle.py",
+        "if rest and rest[-1] > tails[-1]:",
+        "if rest and rest[-1] > tails[-1] + 1:",
+        ("tests/test_oracle.py::test_enumerate_small_goldens",),
+    ),
+    Mutant(
+        "place-free-tail-slack", "oracle.py",
+        "range(len(tails) - len(rest), len(tails))",
+        "[len(tails)] * len(rest)",
+        ("tests/test_oracle.py::test_blocks_are_free_tails",),
+    ),
+    Mutant(
+        "place-skips-largest-too", "oracle.py",
+        "if pos == last and v != rest[-1]:",
+        "if pos == last:",
+        ("tests/test_oracle.py::test_blocks_are_free_tails",),
+    ),
+    Mutant(
+        "iter-class-drops-prefix", "oracle.py",
+        "for head, free in _blocks(n, k, prefix)",
+        "for head, free in _blocks(n, k)",
+        ("tests/test_oracle.py::test_enumerate_with_prefix",),
+    ),
+    # route 4 and the Bareiss engine
+    Mutant(
+        "bareiss-step-divisor", "matrices.py",
+        "for j in range(t + 1, len(top)):\n"
+        "            num = row[j] * p - f * top[j]\n"
+        "            q, r = divmod(num, prev)",
+        "for j in range(t + 1, len(top)):\n"
+        "            num = row[j] * p - f * top[j]\n"
+        "            q, r = divmod(num, 1)",
+        ("tests/test_matrices.py::test_bareiss_step_refuses_an_inexact_division",),
+    ),
+    Mutant(
+        "det-bareiss-no-swap-sign", "matrices.py",
+        "            sign = -sign\n        _bareiss_step(m, t, prev, m[t + 1:])",
+        "        _bareiss_step(m, t, prev, m[t + 1:])",
+        ("tests/test_matrices.py::test_bareiss_needs_row_pivoting",),
+    ),
+    Mutant(
+        "det-bareiss-zero-column", "matrices.py",
+        "return Fraction(0)",
+        "return Fraction(1)",
+        ("tests/test_matrices.py::test_bareiss_needs_row_pivoting",),
+    ),
+    Mutant(
+        "cramer-clears-below-only", "matrices.py",
+        "_bareiss_step(m, t, prev, m[:t] + m[t + 1:])",
+        "_bareiss_step(m, t, prev, m[t + 1:])",
+        ("tests/test_matrices.py::test_solve_cramer_golden",),
+    ),
+    Mutant(
+        "cramer-skips-pivot-check", "matrices.py",
+        "if last != d:",
+        "if False:",
+        ("tests/test_matrices.py::test_solve_cramer_checks_its_last_pivot",),
+    ),
+    # route 3 must not share route 4's step
+    Mutant(
+        "solve-bareiss-shares-step", "matrices.py",
+        "        for row in m[t + 1:]:\n"
+        "            f = row[t]\n"
+        "            for j in range(t + 1, n + 1):\n"
+        "                num = row[j] * p - f * top[j]\n"
+        "                q, r = divmod(num, prev)\n"
+        "                if r:\n"
+        "                    exact_div(num, prev)  # raises the inexact-division error\n"
+        "                row[j] = q\n"
+        "            row[t] = 0\n",
+        "        _bareiss_step(m, t, prev, m[t + 1:])\n",
+        ("tests/test_boundaries.py::test_matrices_functions_share_no_code",),
+    ),
+    # the second determinant engine
+    Mutant(
+        "dodgson-shift-too-small", "matrices.py",
+        "c = 2 * h + 1",
+        "c = h + 1",
+        ("tests/test_matrices.py::test_engines_match_leibniz_on_random_integer_matrices",),
+    ),
+    # identities: the sign exponent must stay an int for r <= -k-2
+    Mutant(
+        "poles-parity-unreduced", "identities.py",
+        "(-1) ** ((k + r + j) % 2)",
+        "(-1) ** (k + r + j)",
+        ("tests/test_cli.py::test_verify_ones_grid_below_the_window",),
+    ),
+    # pipeline: route 3's total, the bijection check, the bounds rule
+    Mutant(
+        "kernel-count-steps", "pipeline.py",
+        'return sum(components(n, k, "transfer_matrix"))',
+        'return sum(components(n, k, "recursion"))',
+        ("tests/test_pipeline.py::test_kernel_count_takes_no_column_steps",),
+    ),
+    Mutant(
+        "bijection-strict-threshold", "pipeline.py",
+        "for mu in source if mu[0] >= i]",
+        "for mu in source if mu[0] > i]",
+        ("tests/test_oracle.py::test_insertion_bijection_passes",),
+    ),
+    Mutant(
+        "run-suite-ignores-grid-bound", "pipeline.py",
+        "k_max = grid.k[1] if grid is not None else DEFAULT_K_MAX",
+        "k_max = DEFAULT_K_MAX",
+        ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+    # cli: listing's separators and chunks, verify's bounds
+    Mutant(
+        "enumerate-trailing-separator", "cli.py",
+        'text = sep.join(map(str, head)) + (sep if free else "")',
+        "text = sep.join(map(str, head)) + sep",
+        ("tests/test_cli.py::test_enumerate_prints_format_perm_lines",),
+    ),
+    Mutant(
+        "enumerate-write-per-block", "cli.py",
+        "    lines = chain.from_iterable(_block_lines(head, free, sep) for head, free in blocks)\n"
+        "    while chunk := list(islice(lines, ENUMERATE_CHUNK)):\n"
+        '        write("\\n".join(chunk) + "\\n")\n',
+        "    for head, free in blocks:\n"
+        '        write("\\n".join(_block_lines(head, free, sep)) + "\\n")\n',
+        ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
+    ),
+    Mutant(
+        "verify-drops-k-max", "cli.py",
+        "k_max=args.k_max, n_max=args.n_max",
+        "k_max=None, n_max=args.n_max",
+        ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+)
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[str, str]:
+    """``("pass" | "fail" | "timeout" | "error", detail)`` for one child pytest."""
+    path = [str(copy / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            argv, cwd=copy, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S, preexec_fn=_cap_memory,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", f"over {TIMEOUT_S} s"
+    lines = done.stdout.splitlines()
+    if done.returncode == 0:
+        return "pass", lines[-1] if lines else ""
+    if done.returncode == 1:
+        first = next((line for line in lines if line.startswith("FAILED ")), "FAILED ?")
+        return "fail", first.removeprefix("FAILED ").split(" - ")[0]
+    return "error", "\n".join(lines[-20:] + done.stderr.splitlines()[-20:])
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    sources = {m.file: (ROOT / "src" / "lisenum" / m.file).read_text() for m in chosen}
+    for m in chosen:
+        if (found := sources[m.file].count(m.old)) != 1:
+            print(f"stale mutant {m.name}: its old text occurs {found} times in {m.file}",
+                  file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="lisenum-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        every = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        verdict, detail = run_tests(copy, every)
+        if verdict != "pass":
+            print(f"the named tests do not pass unmutated ({verdict}):\n{detail}", file=sys.stderr)
+            return 2
+        survived = 0
+        print(f"{'mutant':32} {'verdict':9} {'seconds':>7}  by")
+        for m in chosen:
+            target = copy / "src" / "lisenum" / m.file
+            original = sources[m.file]
+            target.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                verdict, detail = run_tests(copy, m.tests)
+            finally:
+                target.write_text(original)
+            seconds = time.perf_counter() - start
+            if verdict == "error":
+                print(f"mutant {m.name}: pytest did not run:\n{detail}", file=sys.stderr)
+                return 2
+            label = "survived" if verdict == "pass" else "killed"
+            survived += verdict == "pass"
+            print(f"{m.name:32} {label:9} {seconds:7.1f}  {detail}", flush=True)
+    print(f"{len(chosen) - survived} of {len(chosen)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lisenum import cli, oracle, pipeline
+from lisenum import GridSpec, cli, oracle, pipeline
 from lisenum.cli import main
 
 
@@ -213,7 +213,7 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     def entered(*args):
         raise AssertionError("the brute-force walk was entered")
 
-    for name in ("_roots", "_place", "_blocks", "_iter_members", "_count_word"):
+    for name in ("_roots", "_place", "_blocks", "iter_class", "_count_word"):
         monkeypatch.setattr(oracle, name, entered)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -322,6 +322,27 @@ def test_verify_ones_grid_below_the_window(tmp_path, capsys):
     assert out.splitlines()[0] == "suite lemmaB: 74 passed, 0 failed, 196 skipped (270 checks)"
     witnesses = [c["witness"] for c in json.loads(out_path.read_text())["checks"] if "witness" in c]
     assert witnesses and not [w for w in witnesses if re.search(r"\d\.\d", w)]
+
+
+@pytest.mark.parametrize("k_max, checks", [(None, 270), (1, 265)])
+def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, checks):
+    # a bound left out is the grid's upper bound, for the CLI and the library alike
+    grid = {"k": [0, 2], "n": [0, 8]}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    out_path = tmp_path / "report.json"
+    argv = ["verify", "--suite", "lemmaB", "--grid", str(grid_path), "--out", str(out_path)]
+    if k_max is not None:
+        argv += ["--k-max", str(k_max)]
+    assert run_cli(capsys, *argv)[0] == 0
+    expected = json.loads(out_path.read_text())
+    report = pipeline.run_suite("lemmaB", k_max=k_max, grid=GridSpec.from_dict(grid))
+    got = json.loads(json.dumps(report.to_json()))
+    assert got["bounds"] == expected["bounds"] == {
+        "k_max": 2 if k_max is None else k_max, "n_max": 8, "budget": pipeline.DEFAULT_BUDGET,
+    }
+    assert got["checks"] == expected["checks"]
+    assert len(got["checks"]) == checks
 
 
 def test_verify_bad_grid_file(tmp_path, capsys):

@@ -362,7 +362,7 @@ def test_bijection_image_out_of_order(monkeypatch, capsys):
     ],
 )
 def test_bijection_member_missing(monkeypatch, n, k, size, drop, witness):
-    real = oracle._iter_members
+    real = oracle.iter_class
     sizes = []
 
     def planted(m, j):
@@ -372,7 +372,7 @@ def test_bijection_member_missing(monkeypatch, n, k, size, drop, witness):
             del members[drop]
         return iter(members)
 
-    monkeypatch.setattr(oracle, "_iter_members", planted)
+    monkeypatch.setattr(oracle, "iter_class", planted)
     result = pipeline.check_insertion_bijection(n, k)
     assert (result.status, result.witness) == ("fail", witness)
     assert sizes == [n, n + 1]

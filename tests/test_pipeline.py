@@ -1,6 +1,7 @@
 """Counting routes, tables and the cross-validation engine."""
 
 import json
+import time
 from math import factorial
 
 import pytest
@@ -100,6 +101,19 @@ def test_count_methods():
         count(8, 2, "nonsense")
     with pytest.raises(ValueError):
         count(6, 1, "kernel_recursion")
+
+
+def test_kernel_count_takes_no_column_steps():
+    # stepping the n - 2k columns took seconds at (10^7, 2)
+    start = time.perf_counter()
+    assert count(10**7, 2, "kernel") == 99999970000001
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kernel_count_matches_formula():
+    for k in range(13):
+        for n in range(2 * k, 2 * k + 60):
+            assert count(n, k, "kernel") == count_formula(n, k), (n, k)
 
 
 def test_count_agreement_small_grid():
@@ -294,6 +308,11 @@ def test_run_suite_validation():
         run_suite("all", k_max=-1)
     with pytest.raises(ValueError):
         run_suite("all", k_max=3, n_max=4)
+    # bounds taken from a grid are validated like given ones
+    with pytest.raises(ValueError, match="^n-max must be at least 2\\*k-max: n_max=8, k_max=5$"):
+        run_suite("all", grid=GridSpec.from_dict({"k": [0, 5], "n": [0, 8]}))
+    with pytest.raises(ValueError, match="^k-max must be nonnegative, got -1$"):
+        run_suite("all", k_max=-1, grid=GridSpec.from_dict({"k": [0, 2], "n": [0, 8]}))
 
 
 def test_report_json_shape():
