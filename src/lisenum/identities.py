@@ -91,12 +91,11 @@ def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, F
     value is undefined (the first residual needs n outside 1..k+3).
     """
     f = ones_product_entry
-    first = (k - r + 2) * (n - k - 2) * (f(k + 1, r, n) - f(k, r, n)) - (k + 2) * (
-        n - k - 3
-    ) * (f(k + 2, r, n) - f(k + 1, r, n))
-    second = r * (n - r - 1) * (f(k, r + 1, n) - f(k, r, n)) - (k - r) * (r + 1) * (
-        f(k, r + 2, n) - f(k, r + 1, n)
-    )
+    # each term once, in the order the two residuals first reference them
+    k1, here, k2 = f(k + 1, r, n), f(k, r, n), f(k + 2, r, n)
+    r1, r2 = f(k, r + 1, n), f(k, r + 2, n)
+    first = (k - r + 2) * (n - k - 2) * (k1 - here) - (k + 2) * (n - k - 3) * (k2 - k1)
+    second = r * (n - r - 1) * (r1 - here) - (k - r) * (r + 1) * (r2 - r1)
     return first, second
 
 
@@ -127,7 +126,8 @@ def moment_sum_recurrence_residuals(k: int, b: int, n: int) -> tuple[Fraction, F
     the grid runner instead of asserted.
     """
     g = binomial_moment_sum
-    return g(k + 1, b, n) - g(k, b, n), g(k, b + 1, n) - g(k, b, n)
+    up, here = g(k + 1, b, n), g(k, b, n)
+    return up - here, g(k, b + 1, n) - here
 
 
 def moment_identity_check(k: int, b: int, n: int) -> CheckResult:

@@ -433,12 +433,13 @@ def binomial_det_product(k: int, x: int, y: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got k={k}")
-    total = Fraction(1)
+    num = den = 1
     for i in range(1, k + 2):
         divisor = binomial(i + y, 1 + y)
         if divisor == 0:
             raise ValueError(
                 f"vanishing divisor binomial({i + y}, {1 + y}) at i={i} (x={x}, y={y})"
             )
-        total *= Fraction(binomial(i + 1 + x + y, i + x), divisor)
-    return total
+        num *= binomial(i + 1 + x + y, i + x)
+        den *= divisor
+    return Fraction(num, den)

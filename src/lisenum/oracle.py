@@ -50,7 +50,10 @@ back, not even within a root, which can have k! of them.
 ``iter_class`` expands the blocks into members; ``enumerate`` in the
 CLI formats each block's head once.  Only listing walks;
 counting memoizes the count below a node on its state word
-(``_count_word``), as in West's generating trees (1996).
+(``_count_word``), as in West's generating trees (1996).  Counting
+spells the root words itself (``component_counts``): by the pruning
+lemma a live prefix ends in n, so the first entry and the values
+left to place between them fix it, and dead roots are never formed.
 ``is_member`` rests on ``lis_length``, and the tests compare the walk
 with a filter of all n! permutations.
 """
@@ -121,7 +124,8 @@ def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], list[int]]]:
 
     ``combinations`` picks the prefix entry by entry, entry p (0-based)
     at most k+p+1, so nothing comes out for first > k+1.  Prefixes that
-    do not end in n come out too; ``_place`` cuts them at once.
+    do not end in n come out too; ``_place`` cuts them at once.  Only
+    the walk uses this; counting spells its live roots itself.
     """
     for mid in combinations(range(first + 1, n + 1), n - k - 1):
         prefix = [first, *mid]
@@ -171,10 +175,12 @@ def _count_word(word: str) -> int:
     if word[-1] == "1":
         # the pruning lemma: a value left lies above tails[-1]
         return 0
-    return sum(
-        _count_word((word[:p] + "0" + word[p + 1:].replace("0", "", 1)).lstrip("0"))
-        for p, c in enumerate(word) if c == "1"
-    )
+    total = 0
+    p = word.find("1")
+    while p >= 0:
+        total += _count_word((word[:p] + "0" + word[p + 1:].replace("0", "", 1)).lstrip("0"))
+        p = word.find("1", p + 1)
+    return total
 
 
 def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
@@ -212,18 +218,33 @@ def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
 
 
 def component_counts(n: int, k: int) -> list[int]:
-    """The vector [#B(1), ..., #B(k+1)] by direct counting."""
+    """The vector [#B(1), ..., #B(k+1)] by direct counting.
+
+    Sums ``_count_word`` over the live roots only, each spelt straight
+    from a combination in O(n) C-level work.  A live prefix starts with
+    ``first`` and, by the pruning lemma, ends with n; every value below
+    ``first`` is left to place, and so are k-first+1 values picked from
+    first+1..n-1.  The rest are tails.
+    """
     check_size(n, k)
     if n == 0:
         # the empty permutation occupies the single slot of the k = 0 vector
         return [1]
-    return [
-        sum(
-            _count_word("".join("1" if v in rest else "0" for v in range(1, n + 1)).lstrip("0"))
-            for _, rest in _roots(n, k, first)
-        )
-        for first in range(1, k + 2)
-    ]
+    counts = []
+    for first in range(1, k + 2):
+        # cells[v - 1] spells value v: "1" below first, then "0" up to n
+        # but for the values picked; first == n, at (1, 0) and (2, 1),
+        # leaves none to pick and spells the prefix n alone
+        cells = bytearray(("1" * (first - 1) + "0" * (n - first + 1)).encode())
+        total = 0
+        for picked in combinations(range(first, n - 1), k - first + 1):
+            for i in picked:
+                cells[i] = 49  # "1"
+            total += _count_word(cells.decode().lstrip("0"))
+            for i in picked:
+                cells[i] = 48  # "0"
+        counts.append(total)
+    return counts
 
 
 def insert_prefix(mu: Sequence[int], i: int) -> Perm:

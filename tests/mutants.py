@@ -78,6 +78,25 @@ MUTANTS = (
         "for head, free in _blocks(n, k)",
         ("tests/test_oracle.py::test_enumerate_with_prefix",),
     ),
+    # route 2's counting: live-root words and the memoized count below them
+    Mutant(
+        "count-word-drops-value-n", "oracle.py",
+        '"0" * (n - first + 1)',
+        '"0" * (n - first)',
+        ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
+    Mutant(
+        "count-one-free-value-short", "oracle.py",
+        "k - first + 1):",
+        "k - first):",
+        ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
+    Mutant(
+        "count-word-skips-a-step", "oracle.py",
+        'p = word.find("1", p + 1)',
+        'p = word.find("1", p + 2)',
+        ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
     # route 4 and the Bareiss engine
     Mutant(
         "bareiss-step-divisor", "matrices.py",
@@ -128,6 +147,12 @@ MUTANTS = (
         "        _bareiss_step(m, t, prev, m[t + 1:])\n",
         ("tests/test_boundaries.py::test_matrices_functions_share_no_code",),
     ),
+    Mutant(
+        "det-product-skips-a-divisor", "matrices.py",
+        "den *= divisor",
+        "den *= divisor if i <= k else 1",
+        ("tests/test_matrices.py::test_det_product_matches_term_by_term_product",),
+    ),
     # the second determinant engine
     Mutant(
         "dodgson-shift-too-small", "matrices.py",
@@ -141,6 +166,12 @@ MUTANTS = (
         "(-1) ** ((k + r + j) % 2)",
         "(-1) ** (k + r + j)",
         ("tests/test_cli.py::test_verify_ones_grid_below_the_window",),
+    ),
+    Mutant(
+        "ones-residual-wrong-base", "identities.py",
+        "(k2 - k1)",
+        "(k2 - here)",
+        ("tests/test_identities.py::test_ones_recurrence_residuals",),
     ),
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(

@@ -515,6 +515,34 @@ def test_det_product_matches_determinant_on_grid():
                 assert closed == det_bareiss(shifted_binomial_matrix(k, x, y)), (k, x, y)
 
 
+def _det_product_term_by_term(k, x, y):
+    total = Fraction(1)
+    for i in range(1, k + 2):
+        divisor = binomial(i + y, 1 + y)
+        if divisor == 0:
+            raise ValueError(
+                f"vanishing divisor binomial({i + y}, {1 + y}) at i={i} (x={x}, y={y})"
+            )
+        total *= Fraction(binomial(i + 1 + x + y, i + x), divisor)
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_det_product_matches_term_by_term_product():
+    for k in range(6):
+        for x in range(-8, 13):
+            for y in range(-3, 9):
+                got = _outcome(binomial_det_product, k, x, y)
+                want = _outcome(_det_product_term_by_term, k, x, y)
+                assert (type(got), got) == (type(want), want), (k, x, y)
+
+
 def test_det_product_vanishing_divisor():
     with pytest.raises(ValueError, match="at i=1"):
         binomial_det_product(2, 0, -2)

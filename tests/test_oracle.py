@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lisenum import (
     check_insertion_bijection,
     component_counts,
+    count_formula,
     format_perm,
     insert_prefix,
     is_member,
@@ -196,8 +197,20 @@ def test_counting_never_walks(monkeypatch):
         raise AssertionError("counting entered the walk")
 
     monkeypatch.setattr(oracle, "_place", walk)
+    monkeypatch.setattr(oracle, "_roots", walk)
     oracle._count_word.cache_clear()
     assert component_counts(12, 6) == [100585, 68334, 42150, 22920, 10440, 3600, 720]
+
+
+def test_counting_memoizes_live_roots_only():
+    # dead roots, prefixes that do not end in n, never reach the memo
+    oracle._count_word.cache_clear()
+    component_counts(14, 5)
+    assert oracle._count_word.cache_info().misses == 2288
+
+
+def test_counting_reaches_large_n_at_k1():
+    assert sum(component_counts(2000, 1)) == count_formula(2000, 1)
 
 
 def test_enumerate_with_prefix():
