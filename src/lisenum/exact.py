@@ -70,10 +70,16 @@ def falling_factorial(n: int, i: int) -> int:
 def integer_rows(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
     """Clear denominators row by row: ``(rows_of_ints, scale)``, each row
     times the lcm of its denominators and ``scale`` the product of those
-    multipliers, so det(rows) = det(rows_of_ints) / scale."""
+    multipliers, so det(rows) = det(rows_of_ints) / scale.
+
+    Every returned row is a fresh list, which callers eliminate in place;
+    a row of plain ``int`` entries is copied as it is, multiplier 1."""
     scale = 1
     out = []
     for row in rows:
+        if set(map(type, row)) == {int}:
+            out.append(list(row))
+            continue
         mult = math.lcm(*(x.denominator for x in row))
         scale *= mult
         out.append([x.numerator * (mult // x.denominator) for x in row])

@@ -17,6 +17,13 @@ combinations so the suites can assert they vanish.  Grid points where a
 referenced value is undefined are skipped and logged, never silently
 dropped or asserted.
 
+A grid run evaluates each defined value once: the runner memoizes the
+sum as the module binds it when the run starts, and its residuals read
+that memo.  The memo belongs to the call and ends with it, so nothing
+outlives a run and a patched sum is seen by the next one.  The
+convolution runner likewise builds each binomial column once per
+parameter value.
+
 Every sum over j = 1..k+1 of weight(j)/(n-j) is built from integer
 weights as one Fraction over the denominator prod (n-j), with each sign
 taken by parity, so a value is exact for any integer arguments, negative
@@ -25,6 +32,7 @@ exponents included.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -50,7 +58,18 @@ def vandermonde_chu_check(a: int, b: int, x: int) -> CheckResult:
     """
     if x < 0:
         raise ValueError(f"upper summation index must be nonnegative, got x={x}")
-    lhs = sum(binomial(y + a, y) * binomial(x - y + b, x - y) for y in range(x + 1))
+    return _convolution(a, b, x, _column(a, x), _column(b, x))
+
+
+def _column(a: int, x_hi: int) -> list[int]:
+    """binomial(y+a, y) for y = 0..x_hi."""
+    return [binomial(y + a, y) for y in range(x_hi + 1)]
+
+
+def _convolution(a: int, b: int, x: int, col_a: list[int], col_b: list[int]) -> CheckResult:
+    """The convolution check at x from the columns of a and b, each
+    reaching at least y = x."""
+    lhs = sum(col_a[y] * col_b[x - y] for y in range(x + 1))
     rhs = binomial(a + b + x + 1, x)
     return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lemmaA", "lhs={got} rhs={want}")
 
@@ -90,7 +109,13 @@ def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, F
     with f = ones_product_entry at fixed n.  Raises when a referenced
     value is undefined (the first residual needs n outside 1..k+3).
     """
-    f = ones_product_entry
+    return _ones_residuals(ones_product_entry, k, r, n)
+
+
+def _ones_residuals(
+    f: Callable[[int, int, int], Fraction], k: int, r: int, n: int
+) -> tuple[Fraction, Fraction]:
+    """The residuals of :func:`ones_entry_recurrence_residuals` through f."""
     # each term once, in the order the two residuals first reference them
     k1, here, k2 = f(k + 1, r, n), f(k, r, n), f(k + 2, r, n)
     r1, r2 = f(k, r + 1, n), f(k, r + 2, n)
@@ -125,7 +150,13 @@ def moment_sum_recurrence_residuals(k: int, b: int, n: int) -> tuple[Fraction, F
     second probes outside that window when b = k and is then recorded by
     the grid runner instead of asserted.
     """
-    g = binomial_moment_sum
+    return _moment_residuals(binomial_moment_sum, k, b, n)
+
+
+def _moment_residuals(
+    g: Callable[[int, int, int], Fraction], k: int, b: int, n: int
+) -> tuple[Fraction, Fraction]:
+    """The residuals of :func:`moment_sum_recurrence_residuals` through g."""
     up, here = g(k + 1, b, n), g(k, b, n)
     return up - here, g(k, b + 1, n) - here
 
@@ -196,13 +227,24 @@ class GridSpec(NamedTuple):
 
 
 def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
-    """Convolution identity over the (A, B, x) box, one result per (A, B)."""
+    """Convolution identity over the (A, B, x) box, one result per (A, B).
+
+    Each A and each B value gets its column binomial(y+a, y), y <= x_hi,
+    once.  A box with no x >= 0 evaluates nothing, so each (A, B) result
+    is then skipped."""
     results = []
     x_lo, x_hi = max(spec.x[0], 0), spec.x[1]
+    cols_b = {b: _column(b, x_hi) for b in range(spec.B[0], spec.B[1] + 1)}
     for a in range(spec.A[0], spec.A[1] + 1):
-        for b in range(spec.B[0], spec.B[1] + 1):
+        col_a = _column(a, x_hi)
+        for b, col_b in cols_b.items():
             name = f"convolution A={a} B={b} x={x_lo}..{x_hi}"
-            points = (vandermonde_chu_check(a, b, x) for x in range(x_lo, x_hi + 1))
+            if x_hi < x_lo:
+                results.append(skipped(
+                    name, f"x range {spec.x[0]}..{spec.x[1]} holds no x >= 0", group="lemmaA"
+                ))
+                continue
+            points = (_convolution(a, b, x, col_a, col_b) for x in range(x_lo, x_hi + 1))
             bad = next((point for point in points if point.status != PASS), None)
             results.append(
                 passed(name, group="lemmaA") if bad is None
@@ -212,19 +254,21 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
 
 
 def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
-    """Unit values and recurrence residuals for ones_product_entry."""
+    """Unit values and recurrence residuals for ones_product_entry, each
+    value evaluated once per call."""
+    f = functools.cache(ones_product_entry)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):
             for r in range(spec.r[0], spec.r[1] + 1):
                 inside = 1 <= r <= k + 1
                 results.append(expect_within(
-                    f"ones-entry k={k} r={r} n={n}", inside, ones_product_entry(k, r, n),
+                    f"ones-entry k={k} r={r} n={n}", inside, f(k, r, n),
                     1, "lemmaB", "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
                 ))
                 rname = f"ones-recurrence k={k} r={r} n={n}"
                 try:
-                    residuals = ones_entry_recurrence_residuals(k, r, n)
+                    residuals = _ones_residuals(f, k, r, n)
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaB"))
                     continue
@@ -237,14 +281,16 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
 
 
 def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
-    """Unit values, two-sided form and residuals for binomial_moment_sum."""
+    """Unit values, two-sided form and residuals for binomial_moment_sum,
+    each value evaluated once per call."""
+    g = functools.cache(binomial_moment_sum)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):
             for b in range(spec.b[0], spec.b[1] + 1):
                 name = f"moment-sum k={k} b={b} n={n}"
                 try:
-                    value = binomial_moment_sum(k, b, n)
+                    value = g(k, b, n)
                 except ValueError as exc:
                     results.append(skipped(name, f"undefined: {exc}", group="lemmaC"))
                     continue
@@ -256,7 +302,7 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                     results.append(moment_identity_check(k, b, n))
                 rname = f"moment-recurrence k={k} b={b} n={n}"
                 try:
-                    first, second = moment_sum_recurrence_residuals(k, b, n)
+                    first, second = _moment_residuals(g, k, b, n)
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaC"))
                     continue

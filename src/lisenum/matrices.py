@@ -27,7 +27,8 @@ divisions and return a ``Fraction``; condensation runs on the rows
 shifted by an integer multiple of the Pascal matrix, so it never meets
 a zero divisor.  Two solvers share no code:
 ``solve_bareiss`` (one fraction-free elimination of the augmented
-system, then back substitution; O(k^3)) is route 3's kernel solve, and
+system, then integer back substitution with one ``Fraction`` per
+unknown, exact by Cramer's rule; O(k^3)) is route 3's kernel solve, and
 ``solve_cramer`` (column-replacement determinants: one ``det_bareiss``
 and one fraction-free Gauss-Jordan pass of the augmented system whose
 last column ends, by Sylvester's identity, as +-det(A_i); about k^3/2
@@ -242,11 +243,16 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
 
     Each row of the augmented matrix [a | v] is cleared of denominators,
     one forward elimination with row pivoting keeps every entry an
-    integer by dividing exactly by the previous pivot, and exact
-    rational back substitution finishes: O(k^3) for k+1 unknowns.  This
-    is route 3's kernel solve.  It calls no determinant engine and
-    shares no elimination code with :func:`det_bareiss`, so routes 3
-    and 4 stay independent.
+    integer by dividing exactly by the previous pivot, and integer back
+    substitution finishes: O(k^3) for k+1 unknowns.  The last pivot,
+    prev, is +-det of the integer system, so by Cramer's rule each
+    X_i = prev * x_i is +-det of that system with column i replaced by
+    the right-hand side, an integer; row i of the triangle gives it as
+    (prev * c_i - sum_{j>i} U_ij X_j) / U_ii, a division that is exact
+    (``exact_div`` raises otherwise).  Each unknown is then one
+    ``Fraction(X_i, prev)``.  This is route 3's kernel solve.  It calls
+    no determinant engine and shares no elimination code with
+    :func:`det_bareiss`, so routes 3 and 4 stay independent.
     """
     if a.rows != a.cols:
         raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
@@ -272,11 +278,12 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
                 row[j] = q
             row[t] = 0
         prev = p
-    x: list[Exact] = [0] * n
+    scaled = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
-    return tuple(x)
+        rest = sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = exact_div(prev * row[n] - rest, row[i])
+    return tuple(Fraction(x, prev) for x in scaled)
 
 
 def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:

@@ -53,6 +53,19 @@ MUTANTS = (
         "return (-1) ** d * math.comb(d - c, d)",
         ("tests/test_exact.py::test_binomial_against_product_oracle",),
     ),
+    # exact: the all-int fast path of integer_rows
+    Mutant(
+        "integer-rows-fast-path-fractions", "exact.py",
+        "if set(map(type, row)) == {int}:",
+        "if set(map(type, row)) >= {int}:",
+        ("tests/test_exact.py::test_integer_rows_scales_only_fraction_rows",),
+    ),
+    Mutant(
+        "integer-rows-aliases-input", "exact.py",
+        "out.append(list(row))",
+        "out.append(row)",
+        ("tests/test_exact.py::test_integer_rows_copies_int_rows",),
+    ),
     # route 2: the walk's pruning lemma, free-tail lemma and skip rule
     Mutant(
         "place-pruning", "oracle.py",
@@ -147,6 +160,13 @@ MUTANTS = (
         "        _bareiss_step(m, t, prev, m[t + 1:])\n",
         ("tests/test_boundaries.py::test_matrices_functions_share_no_code",),
     ),
+    # route 3's integer back substitution
+    Mutant(
+        "solve-bareiss-unscaled-rhs", "matrices.py",
+        "exact_div(prev * row[n] - rest, row[i])",
+        "exact_div(row[n] - rest, row[i])",
+        ("tests/test_matrices.py::test_solve_bareiss_matches_fraction_back_substitution",),
+    ),
     Mutant(
         "det-product-skips-a-divisor", "matrices.py",
         "den *= divisor",
@@ -172,6 +192,39 @@ MUTANTS = (
         "(k2 - k1)",
         "(k2 - here)",
         ("tests/test_identities.py::test_ones_recurrence_residuals",),
+    ),
+    # identities: the per-run memo's key, reach and lifetime
+    Mutant(
+        "ones-memo-key-drops-n", "identities.py",
+        "f = functools.cache(ones_product_entry)",
+        "f = lambda k, r, n, at={}: at.setdefault((k, r), ones_product_entry(k, r, n))",
+        ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
+    ),
+    Mutant(
+        "ones-residuals-skip-memo", "identities.py",
+        "residuals = _ones_residuals(f, k, r, n)",
+        "residuals = _ones_residuals(ones_product_entry, k, r, n)",
+        ("tests/test_identities.py::test_grid_run_evaluates_each_defined_value_once",),
+    ),
+    Mutant(
+        "moment-memo-outlives-run", "identities.py",
+        "g = functools.cache(binomial_moment_sum)",
+        'g = run_moment_identity_grid.__dict__.setdefault("memo", '
+        "functools.cache(binomial_moment_sum))",
+        ("tests/test_identities.py::test_grid_memo_ends_with_its_run",),
+    ),
+    # identities: the convolution columns and the empty x range
+    Mutant(
+        "convolution-column-by-symmetry", "identities.py",
+        "return [binomial(y + a, y) for y in range(x_hi + 1)]",
+        "return [binomial(y + a, a) for y in range(x_hi + 1)]",
+        ("tests/test_identities.py::test_convolution_negative_parameters",),
+    ),
+    Mutant(
+        "convolution-empty-range-passes", "identities.py",
+        "if x_hi < x_lo:",
+        "if False:",
+        ("tests/test_cli.py::test_verify_convolution_grid_without_nonnegative_x",),
     ),
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(

@@ -324,6 +324,26 @@ def test_verify_ones_grid_below_the_window(tmp_path, capsys):
     assert witnesses and not [w for w in witnesses if re.search(r"\d\.\d", w)]
 
 
+def test_verify_convolution_grid_without_nonnegative_x(tmp_path, capsys):
+    # x >= 0 is empty in -6..-1: each (A, B) check evaluates nothing and is skipped
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"x": [-6, -1]}))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "lemmaA", "--grid", str(grid_path), "--out", str(out_path)
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "suite lemmaA: 96 passed, 0 failed, 441 skipped (537 checks)"
+    checks = json.loads(out_path.read_text())["checks"]
+    convolution = [c for c in checks if c["name"].startswith("convolution ")]
+    assert len(convolution) == 441
+    assert convolution[0]["name"] == "convolution A=-10 B=-10 x=0..-1"
+    assert {(c["status"], c["witness"]) for c in convolution} == {
+        ("skipped", "x range -6..-1 holds no x >= 0")
+    }
+    assert all(c["status"] == "pass" for c in checks if c not in convolution)
+
+
 @pytest.mark.parametrize("k_max, checks", [(None, 270), (1, 265)])
 def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, checks):
     # a bound left out is the grid's upper bound, for the CLI and the library alike

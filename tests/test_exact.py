@@ -22,6 +22,7 @@ from lisenum import (
     iter_class,
     transfer_matrix,
 )
+from lisenum.exact import integer_rows
 from lisenum.pipeline import COMPONENT_METHODS, COUNT_METHODS
 
 
@@ -95,6 +96,28 @@ def test_exact_div():
     assert exact_div(-84, 7) == -12
     with pytest.raises(ValueError):
         exact_div(85, 7)
+
+
+def test_integer_rows_copies_int_rows():
+    rows = [(1, -2, 3), [4, 0, -6]]
+    out, scale = integer_rows(rows)
+    assert (out, scale) == ([[1, -2, 3], [4, 0, -6]], 1)
+    assert out[1] is not rows[1]
+    out[0][0] = out[1][0] = 99
+    assert rows == [(1, -2, 3), [4, 0, -6]]
+
+
+def test_integer_rows_scales_only_fraction_rows():
+    rows = [
+        (Fraction(1, 2), 3, Fraction(-1, 3)),
+        (2, 5, 7),
+        (Fraction(4), Fraction(3, 4), 1),
+        (Fraction(2), 1),
+    ]
+    out, scale = integer_rows(rows)
+    assert out == [[3, 18, -2], [2, 5, 7], [16, 3, 4], [2, 1]]
+    assert scale == 6 * 4
+    assert {type(x) for row in out for x in row} == {int}
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6),

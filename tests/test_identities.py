@@ -1,5 +1,6 @@
 """Scalar identity suite: unit values, recurrences, convolution."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,39 @@ def test_convolution_grid_runner():
     results = run_convolution_grid(SMALL)
     assert len(results) == 7 * 7  # one aggregated entry per (A, B)
     assert all(r.status == "pass" for r in results)
+
+
+GRID_SUMS = (
+    ("ones_product_entry", run_ones_identity_grid, "ones-entry"),
+    ("binomial_moment_sum", run_moment_identity_grid, "moment-sum"),
+)
+
+
+@pytest.mark.parametrize("name, run", [sums[:2] for sums in GRID_SUMS])
+def test_grid_run_evaluates_each_defined_value_once(monkeypatch, name, run):
+    real = getattr(identities, name)
+    calls = Counter()
+
+    def counted(*point):
+        calls[point] += 1
+        return real(*point)
+
+    monkeypatch.setattr(identities, name, counted)
+    run(GridSpec())
+    defined = [point for point in calls if _outcome(real, *point)[0] != "error"]
+    assert len(defined) > 800
+    assert [point for point in defined if calls[point] > 1] == []
+
+
+@pytest.mark.parametrize("name, run, prefix", GRID_SUMS)
+def test_grid_memo_ends_with_its_run(monkeypatch, name, run, prefix):
+    # every point of this box lies inside the identity's window
+    spec = GridSpec(k=(1, 1), n=(4, 5), r=(1, 2), b=(0, 1))
+    values = [c for c in run(spec) if c.name.startswith(prefix)]
+    assert len(values) == 4 and {c.status for c in values} == {"pass"}
+    monkeypatch.setattr(identities, name, lambda k, r_or_b, n: Fraction(7))
+    values = [c for c in run(spec) if c.name.startswith(prefix)]
+    assert len(values) == 4 and {(c.status, c.witness) for c in values} == {("fail", "value 7")}
 
 
 def test_grid_runner_determinism():

@@ -464,6 +464,60 @@ def test_solve_bareiss_random_against_residual():
         solved += 1
 
 
+def _solve_by_fraction_back_substitution(rows, v):
+    """Reference for solve_bareiss: the same fraction-free elimination,
+    ended by exact rational back substitution on Fractions.  Returns the
+    solution, whether a row swap happened and the last pivot."""
+    m = []
+    for row in (list(row) + [rhs] for row, rhs in zip(rows, v)):
+        mult = math.lcm(*(Fraction(x).denominator for x in row))
+        m.append([int(Fraction(x) * mult) for x in row])
+    n = len(m)
+    prev, swapped = 1, False
+    for t in range(n):
+        pi = next(i for i in range(t, n) if m[i][t])
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            swapped = True
+        for row in m[t + 1:]:
+            for j in range(t + 1, n + 1):
+                q, r = divmod(row[j] * m[t][t] - row[t] * m[t][j], prev)
+                assert r == 0
+                row[j] = q
+            row[t] = 0
+        prev = m[t][t]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = Fraction(m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n)), m[i][i])
+    return tuple(x), swapped, prev
+
+
+def test_solve_bareiss_matches_fraction_back_substitution():
+    rng = random.Random(2020)
+    seen = set()
+    solved = 0
+    while solved < 300:
+        dim = 1 + rng.randrange(6)
+        zeros = rng.choice((0.0, 0.5))
+        rational = solved % 2
+
+        def entry():
+            return Fraction(rng.randint(-8, 8), rng.randint(1, 6)) if rational else rng.randint(-9, 9)
+
+        rows = [[0 if rng.random() < zeros else entry() for _ in range(dim)] for _ in range(dim)]
+        v = [entry() for _ in range(dim)]
+        m = Matrix(rows)
+        if det_bareiss(m) == 0:
+            continue
+        want, swapped, last = _solve_by_fraction_back_substitution(rows, v)
+        got = solve_bareiss(m, v)
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want], (rows, v)
+        seen.add((rational, swapped, last < 0))
+        solved += 1
+    # int and Fraction systems, each with and without a swap and with either sign
+    assert len(seen) == 8
+
+
 def test_solve_bareiss_row_swap():
     # the leading entry is zero, so the first column pivots on row 2
     assert solve_bareiss(Matrix([[0, 1], [1, 0]]), (3, 4)) == (4, 3)
