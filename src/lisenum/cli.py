@@ -19,7 +19,6 @@ from typing import Iterator
 
 from . import exact, oracle, pipeline
 from .identities import GridSpec
-from .pipeline import COUNT_METHODS, DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_N_MAX, SUITES
 
 # lines per write of enumerate: the most lines it holds at once.  About
 # 10-15 kB at n = 11..12, so the first line leaves about as early as it
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument(
-        "--method", choices=COUNT_METHODS, default="formula",
+        "--method", choices=pipeline.COUNT_METHODS, default="formula",
         help="counting route (default: formula)",
     )
 
@@ -61,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--prefix", type=int, default=None, help="restrict to first entry")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--suite", choices=pipeline.SUITES, default="all")
     p_verify.add_argument("--k-max", type=int, default=None,
-                          help=f"default {DEFAULT_K_MAX}")
+                          help=f"default {pipeline.DEFAULT_K_MAX}")
     p_verify.add_argument("--n-max", type=int, default=None,
-                          help=f"default {DEFAULT_N_MAX}")
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help=f"default {pipeline.DEFAULT_N_MAX}")
+    p_verify.add_argument("--budget", type=int, default=pipeline.DEFAULT_BUDGET,
                           help="cap on brute-force candidates per cell")
     p_verify.add_argument("--out", type=str, default=None,
                           help="write the JSON report here")
@@ -78,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_oracle_budget(n: int, k: int) -> None:
     """Refuse brute force beyond the default candidate budget, before any output."""
     exact.check_size(n, k)
-    if not pipeline.within_budget(n, k, DEFAULT_BUDGET):
+    if pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):
         raise ValueError(
             f"brute force at n={n}, k={k} spans {oracle.candidate_count(n, k)} "
-            f"candidates, more than the budget {DEFAULT_BUDGET}"
+            f"candidates, more than the budget {pipeline.DEFAULT_BUDGET}"
         )
 
 

@@ -306,18 +306,15 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaC"))
                     continue
-                # inside the window only the k-direction residual is asserted here
-                check = expect_within(
-                    rname, b <= k, (first, second), (0, second), "lemmaC",
-                    "k-direction residual {got[0]}",
-                    "outside 0 <= b <= k, recorded residuals ({got[0]}, {got[1]})",
-                )
-                if check.status == PASS:
-                    # at b == k the b-direction difference reaches b+1 > k
-                    check = expect_within(
-                        rname, b < k, second, 0, "lemmaC", "b-direction residual {got}",
-                        "b-direction probes b+1 > k, recorded residual {got}; "
-                        "k-direction residual 0",
-                    )
+                if b > k:
+                    check = skipped(rname, "outside 0 <= b <= k, recorded residuals "
+                                    f"({first}, {second})", group="lemmaC")
+                elif first != 0:
+                    check = failed(rname, f"k-direction residual {first}", group="lemmaC")
+                elif b == k:  # the b-direction difference reaches b+1 > k
+                    check = skipped(rname, "b-direction probes b+1 > k, recorded residual "
+                                    f"{second}; k-direction residual 0", group="lemmaC")
+                else:
+                    check = expect(rname, second, 0, "lemmaC", "b-direction residual {got}")
                 results.append(check)
     return results

@@ -10,9 +10,13 @@ Four independent routes produce the same numbers:
 The check builders the suites run over the route modules
 (``check_transfer_consistency``, ``check_counting_row``,
 ``check_insertion_bijection``) live here, so no route module builds a
-check record.  They reach the routes through module attributes
-(``matrices.mat_mul``, ``oracle.iter_class`` and the like), which
-keeps a patched attribute in effect.
+check record.
+
+Each sibling module is bound one way: ``oracle`` as a module
+(``oracle.iter_class``), every other sibling by name
+(``det_bareiss``, ``run_convolution_grid``).  Every name is looked up
+when it is called, so patching ``pipeline.<name>`` or
+``oracle.<name>`` reaches every caller here.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from itertools import accumulate, chain, zip_longest
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from . import identities, matrices, oracle
+from . import oracle
 from .exact import binomial, check_size, falling_factorial
-from .identities import GridSpec
+from .identities import GridSpec, run_convolution_grid, run_moment_identity_grid
+from .identities import run_ones_identity_grid
 from .matrices import (
     Matrix,
+    binomial_det_product,
     component_matrix,
     counting_row,
     det_bareiss,
@@ -36,7 +42,9 @@ from .matrices import (
     dot,
     initial_vector,
     kernel_matrix,
+    mat_mul,
     matrix_times_vector,
+    row_times_matrix,
     shifted_binomial_matrix,
     solve_bareiss,
     solve_cramer,
@@ -223,9 +231,11 @@ def component_table(k: int, n_from: int, n_to: int) -> ComponentTable:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def within_budget(n: int, k: int, budget: int) -> bool:
-    """Whether brute force at (n, k) fits ``budget``: at most that many
-    candidates, ``oracle.candidate_count(n, k)``.
+def over_budget(n: int, k: int, budget: int) -> str | None:
+    """Why brute force at (n, k) does not fit ``budget``, or None when it
+    does: it fits when its ``oracle.candidate_count(n, k)`` candidates
+    number at most ``budget``.  The reason reads
+    ``"{candidates} candidates exceeds budget {budget}"``.
 
     This is the one budget rule, for the suites and for the CLI's
     brute-force commands alike.  ORACLE_N_CAP is not part of it: it
@@ -233,7 +243,10 @@ def within_budget(n: int, k: int, budget: int) -> bool:
     so a single cell named on the command line is held to the budget
     alone.
     """
-    return oracle.candidate_count(n, k) <= budget
+    candidates = oracle.candidate_count(n, k)
+    if candidates > budget:
+        return f"{candidates} candidates exceeds budget {budget}"
+    return None
 
 
 def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
@@ -260,20 +273,18 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
             lname = f"last-component k={k} n={n}"
             results.append(expect(lname, recursion[-1], factorial(k), "counts"))
             oname = f"oracle-agree k={k} n={n}"
-            if n <= ORACLE_N_CAP and within_budget(n, k, budget):
+            if n > ORACLE_N_CAP or over_budget(n, k, budget):
+                results.append(skipped(
+                    oname,
+                    f"{oracle.candidate_count(n, k)} candidates exceeds cap "
+                    f"(budget {budget}, n cap {ORACLE_N_CAP})",
+                    group="counts",
+                ))
+            else:
                 results.append(expect(
                     oname, oracle.component_counts(n, k), recursion, "counts",
                     "oracle={got} recursion={want}",
                 ))
-            else:
-                results.append(
-                    skipped(
-                        oname,
-                        f"{oracle.candidate_count(n, k)} candidates exceeds cap "
-                        f"(budget {budget}, n cap {ORACLE_N_CAP})",
-                        group="counts",
-                    )
-                )
             if n >= k + 2:
                 results.append(expect(
                     f"telescoped-count k={k} n={n}",
@@ -293,15 +304,8 @@ def _suite_conjecture(k_max: int, budget: int) -> list[CheckResult]:
         except ConjectureViolation as exc:
             results.append(failed(name, str(exc), group="conjecture"))
             continue
-        if not within_budget(2 * k, k, budget):
-            results.append(
-                skipped(
-                    name,
-                    f"solved kernel {solved}; {oracle.candidate_count(2 * k, k)} "
-                    f"candidates exceeds budget {budget}",
-                    group="conjecture",
-                )
-            )
+        if why := over_budget(2 * k, k, budget):
+            results.append(skipped(name, f"solved kernel {solved}; {why}", group="conjecture"))
             continue
         results.append(expect(
             name, solved, oracle.component_counts(2 * k, k), "conjecture",
@@ -312,12 +316,12 @@ def _suite_conjecture(k_max: int, budget: int) -> list[CheckResult]:
 
 def check_transfer_consistency(k: int, n: int) -> CheckResult:
     """component_matrix(k, n) @ transfer_matrix(n, k) == kernel_matrix(k)."""
-    product = matrices.mat_mul(matrices.component_matrix(k, n), matrices.transfer_matrix(n, k))
+    product = mat_mul(component_matrix(k, n), transfer_matrix(n, k))
     return expect_entries(
         f"matrix-product-collapse k={k} n={n}",
         (
             (f"entry ({i}, {j})", got, want)
-            for i, rows in enumerate(zip(product.entries, matrices.kernel_matrix(k).entries), 1)
+            for i, rows in enumerate(zip(product.entries, kernel_matrix(k).entries), 1)
             for j, (got, want) in enumerate(zip(*rows), 1)
         ),
         "lemmaA",
@@ -326,8 +330,7 @@ def check_transfer_consistency(k: int, n: int) -> CheckResult:
 
 def check_counting_row(k: int, n: int) -> CheckResult:
     """counting_row(k, n) . component_matrix(k, n) == (1, ..., 1)."""
-    row = matrices.counting_row(k, n)
-    product = matrices.row_times_matrix(row, matrices.component_matrix(k, n))
+    product = row_times_matrix(counting_row(k, n), component_matrix(k, n))
     return expect_entries(
         f"counting-row-normalization k={k} n={n}",
         ((f"column {j}", value, 1) for j, value in enumerate(product, 1)),
@@ -340,7 +343,7 @@ def _suite_lemma_a(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
     for k in range(k_max + 1):
         for n in range(2 * k, n_max + 1):
             results.append(check_transfer_consistency(k, n))
-    results.extend(identities.run_convolution_grid(grid))
+    results.extend(run_convolution_grid(grid))
     return results
 
 
@@ -349,21 +352,22 @@ def _suite_lemma_b(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
     for k in range(k_max + 1):
         for n in range(max(2 * k, k + 2), n_max + 1):
             results.append(check_counting_row(k, n))
-    results.extend(identities.run_ones_identity_grid(grid))
+    results.extend(run_ones_identity_grid(grid))
     return results
 
 
 def _suite_lemma_c(grid: GridSpec) -> list[CheckResult]:
-    return identities.run_moment_identity_grid(grid)
+    return run_moment_identity_grid(grid)
 
 
 def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
     """Unit determinants by both engines, integral solves and the product
     form of the parameterized determinant."""
+    engines = (("bareiss", det_bareiss), ("dodgson", det_dodgson))
     results = []
     for k in range(k_max + 1):
         m = kernel_matrix(k)
-        for label, engine in (("bareiss", det_bareiss), ("dodgson", det_dodgson)):
+        for label, engine in engines:
             name = f"det-kernel-matrix k={k} engine={label}"
             results.append(expect(name, engine(m), 1, "prop33", "det = {got}"))
         sname = f"integral-kernel-solve k={k}"
@@ -374,7 +378,7 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
             results.append(failed(sname, str(exc), group="prop33"))
         for n in range(2 * k, n_max + 1):
             q = component_matrix(k, n)
-            for label, engine in (("bareiss", det_bareiss), ("dodgson", det_dodgson)):
+            for label, engine in engines:
                 name = f"det-component-matrix k={k} n={n} engine={label}"
                 results.append(expect(name, engine(q), 1, "prop33", "det = {got}"))
     for k in range(min(k_max, 3) + 1):
@@ -382,7 +386,7 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
             for y in range(grid.y[0], grid.y[1] + 1):
                 name = f"det-product k={k} x={x} y={y}"
                 try:
-                    closed = matrices.binomial_det_product(k, x, y)
+                    closed = binomial_det_product(k, x, y)
                 except ValueError as exc:
                     results.append(skipped(name, str(exc), group="prop33"))
                     continue
@@ -420,14 +424,9 @@ def _suite_bijection(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
     results = []
     for k in range(min(k_max, 3) + 1):
         for n in range(max(2 * k, 1), min(n_max, 9) + 1):
-            if not within_budget(n + 1, k, budget):
-                results.append(
-                    skipped(
-                        f"insertion-bijection k={k} n={n}->{n + 1}",
-                        f"{oracle.candidate_count(n + 1, k)} candidates exceeds budget {budget}",
-                        group="bijection",
-                    )
-                )
+            if why := over_budget(n + 1, k, budget):
+                name = f"insertion-bijection k={k} n={n}->{n + 1}"
+                results.append(skipped(name, why, group="bijection"))
                 continue
             results.append(check_insertion_bijection(n, k))
     return results
@@ -445,27 +444,19 @@ def random_integer_matrix(rng: random.Random, dim: int, plant_zero: bool) -> Mat
 def _suite_dodgson() -> list[CheckResult]:
     """Engine agreement on 1000 seeded random matrices of dimension 2..6."""
     rng = random.Random(20240229)
-    results = []
-    batches: dict[tuple[int, bool], int] = {}
-    mismatch: dict[tuple[int, bool], str] = {}
+    batches: dict[tuple[int, bool], list[tuple[int, Matrix]]] = {}
     for index in range(1000):
-        dim = 2 + index % 5
-        plant = index % 3 == 0
+        dim, plant = 2 + index % 5, index % 3 == 0
         matrix = random_integer_matrix(rng, dim, plant)
-        key = (dim, plant and dim >= 3)
-        batches[key] = batches.get(key, 0) + 1
-        if key not in mismatch:
-            b = det_bareiss(matrix)
-            d = det_dodgson(matrix)
-            if b != d:
-                mismatch[key] = f"matrix #{index}: bareiss {b} vs dodgson {d}"
-    for key in sorted(batches):
-        dim, planted = key
-        name = f"engines-agree dim={dim} planted-zero={str(planted).lower()} count={batches[key]}"
-        if key in mismatch:
-            results.append(failed(name, mismatch[key], group="dodgson"))
-        else:
-            results.append(passed(name, group="dodgson"))
+        batches.setdefault((dim, plant and dim >= 3), []).append((index, matrix))
+    results = []
+    for (dim, planted), batch in sorted(batches.items()):
+        name = f"engines-agree dim={dim} planted-zero={str(planted).lower()} count={len(batch)}"
+        dets = ((i, det_bareiss(m), det_dodgson(m)) for i, m in batch)
+        bad = next((f"matrix #{i}: bareiss {b} vs dodgson {d}" for i, b, d in dets if b != d), None)
+        results.append(
+            passed(name, group="dodgson") if bad is None else failed(name, bad, group="dodgson")
+        )
     return results
 
 

@@ -245,7 +245,71 @@ MUTANTS = (
         "k_max = DEFAULT_K_MAX",
         ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
     ),
-    # cli: listing's separators and chunks, verify's bounds
+    # pipeline: the one budget rule and the suites that ask it
+    Mutant(
+        "over-budget-inclusive", "pipeline.py",
+        "if candidates > budget:",
+        "if candidates >= budget:",
+        ("tests/test_pipeline.py::test_budget_boundary_and_skip_witnesses",),
+    ),
+    Mutant(
+        "counts-cap-needs-both", "pipeline.py",
+        "if n > ORACLE_N_CAP or over_budget(n, k, budget):",
+        "if n > ORACLE_N_CAP and over_budget(n, k, budget):",
+        ("tests/test_pipeline.py::test_budget_boundary_and_skip_witnesses",),
+    ),
+    Mutant(
+        "conjecture-budget-wrong-cell", "pipeline.py",
+        "if why := over_budget(2 * k, k, budget):",
+        "if why := over_budget(2 * k + 1, k, budget):",
+        ("tests/test_pipeline.py::test_budget_boundary_and_skip_witnesses",),
+    ),
+    Mutant(
+        "bijection-budget-source-cell", "pipeline.py",
+        "if why := over_budget(n + 1, k, budget):",
+        "if why := over_budget(n, k, budget):",
+        ("tests/test_pipeline.py::test_budget_boundary_and_skip_witnesses",),
+    ),
+    # pipeline: each matrices function is reached through its one binding
+    Mutant(
+        "transfer-check-bypasses-binding", "pipeline.py",
+        "product = mat_mul(component_matrix(k, n), transfer_matrix(n, k))",
+        "product = mat_mul(component_matrix(k, n), "
+        '__import__("lisenum.matrices").matrices.transfer_matrix(n, k))',
+        ("tests/test_failure_paths.py::test_matrix_product_collapse_wrong",),
+    ),
+    Mutant(
+        "counting-row-check-wrong-n", "pipeline.py",
+        "row_times_matrix(counting_row(k, n), component_matrix(k, n))",
+        "row_times_matrix(counting_row(k, n + 1), component_matrix(k, n))",
+        ("tests/test_pipeline.py::test_individual_suites_pass",),
+    ),
+    Mutant(
+        "prop33-one-engine", "pipeline.py",
+        'engines = (("bareiss", det_bareiss), ("dodgson", det_dodgson))',
+        'engines = (("bareiss", det_bareiss), ("dodgson", det_bareiss))',
+        ("tests/test_failure_paths.py::test_dodgson_engine_wrong",),
+    ),
+    Mutant(
+        "dodgson-batch-ignores-dim", "pipeline.py",
+        "batches.setdefault((dim, plant and dim >= 3), [])",
+        "batches.setdefault((dim, plant), [])",
+        ("tests/test_failure_paths.py::test_dodgson_runs_without_bareiss",),
+    ),
+    # identities: the moment recurrence's branches, conditions swapped
+    Mutant(
+        "moment-branches-swapped", "identities.py",
+        "elif first != 0:\n"
+        '                    check = failed(rname, f"k-direction residual {first}", '
+        'group="lemmaC")\n'
+        "                elif b == k:",
+        "elif b == k:\n"
+        '                    check = failed(rname, f"k-direction residual {first}", '
+        'group="lemmaC")\n'
+        "                elif first != 0:",
+        ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
+    ),
+    # cli: listing's separators and chunks, the budget it asks, verify's bounds
     Mutant(
         "enumerate-trailing-separator", "cli.py",
         'text = sep.join(map(str, head)) + (sep if free else "")',
@@ -260,6 +324,18 @@ MUTANTS = (
         "    for head, free in blocks:\n"
         '        write("\\n".join(_block_lines(head, free, sep)) + "\\n")\n',
         ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
+    ),
+    Mutant(
+        "oracle-budget-fixed", "cli.py",
+        "if pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):",
+        "if pipeline.over_budget(n, k, 10**6):",
+        ("tests/test_cli.py::test_brute_force_budget_is_inclusive",),
+    ),
+    Mutant(
+        "verify-budget-default-fixed", "cli.py",
+        "default=pipeline.DEFAULT_BUDGET,",
+        "default=10**5,",
+        ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
     ),
     Mutant(
         "verify-drops-k-max", "cli.py",

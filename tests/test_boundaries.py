@@ -25,25 +25,31 @@ ALLOWED = {
 }
 
 
-def package_imports(module: str) -> set[str]:
-    """Top-level package modules that ``module`` imports, wherever it does."""
-    found = set()
+def import_forms(module: str) -> tuple[set[str], set[str]]:
+    """The top-level package modules that ``module`` imports, wherever it
+    does: those bound as modules, and those it takes names from."""
+    as_module, by_name = set(), set()
     for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names, found = [alias.name for alias in node.names], as_module
         elif isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level:
                 source = f"lisenum.{source}".rstrip(".")
             if source == "lisenum":
                 # from . import a, b: each name is a module
-                names = [f"lisenum.{alias.name}" for alias in node.names]
+                names, found = [f"lisenum.{alias.name}" for alias in node.names], as_module
             else:
-                names = [source]
+                names, found = [source], by_name
         else:
             continue
         found |= {name.split(".")[1] for name in names if name.startswith("lisenum.")}
-    return found
+    return as_module, by_name
+
+
+def package_imports(module: str) -> set[str]:
+    """Top-level package modules that ``module`` imports, wherever it does."""
+    return set.union(*import_forms(module))
 
 
 @pytest.mark.parametrize("module", ALLOWED)
@@ -54,6 +60,20 @@ def test_route_module_imports(module):
 def test_the_scan_sees_package_imports():
     assert package_imports("pipeline") >= {"exact", "identities", "matrices", "oracle", "report"}
     assert package_imports("cli") >= {"identities", "oracle", "pipeline"}
+    # and tells a module binding from names taken out of it
+    assert import_forms("cli") == ({"exact", "oracle", "pipeline"}, {"identities"})
+    assert import_forms("pipeline")[1] >= {"exact", "identities", "matrices", "report"}
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_sibling_is_bound_one_way(module):
+    # a module bound both ways can be patched under one binding while
+    # calls go through the other
+    as_module, by_name = import_forms(module)
+    assert not as_module & by_name
 
 
 def reaches(module: str) -> dict[str, set[str]]:

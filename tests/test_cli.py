@@ -226,9 +226,9 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
 def test_brute_force_budget_is_inclusive(monkeypatch, capsys):
     # (7, 3) has C(7, 3) * 3! = 210 candidates
     argv = ("count", "--n", "7", "--k", "3", "--method", "oracle")
-    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 210)
+    monkeypatch.setattr(pipeline, "DEFAULT_BUDGET", 210)
     assert run_cli(capsys, *argv) == (0, "104\n", "")
-    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 209)
+    monkeypatch.setattr(pipeline, "DEFAULT_BUDGET", 209)
     assert run_cli(capsys, *argv)[:2] == (2, "")
     assert run_cli(capsys, "enumerate", "--n", "7", "--k", "3")[:2] == (2, "")
 

@@ -175,7 +175,7 @@ def test_cramer_components_non_integral(monkeypatch):
 
 def test_det_product_mismatch(monkeypatch):
     real = matrices.binomial_det_product
-    monkeypatch.setattr(matrices, "binomial_det_product", lambda k, x, y: real(k, x, y) + 1)
+    monkeypatch.setattr(pipeline, "binomial_det_product", lambda k, x, y: real(k, x, y) + 1)
     grid = GridSpec(k=(0, 0), n=(0, 0), x=(0, 1), y=(0, 1))
     assert failures(pipeline.run_suite("prop33", k_max=0, n_max=0, grid=grid).checks) == [
         ("prop33", "det-product k=0 x=0 y=0", "product 3 vs determinant 2"),
@@ -197,7 +197,7 @@ def test_matrix_product_collapse_wrong(monkeypatch):
         rows[-1] = [x + Fraction(1, 2) for x in rows[-1]]
         return Matrix(rows)
 
-    monkeypatch.setattr(matrices, "transfer_matrix", planted)
+    monkeypatch.setattr(pipeline, "transfer_matrix", planted)
     grid = GridSpec(A=(0, 0), B=(0, 0), x=(0, 0))
     assert failures(pipeline.run_suite("lemmaA", k_max=2, n_max=5, grid=grid).checks) == [
         ("lemmaA", f"matrix-product-collapse k=0 n={n}", "entry (1, 1): got 3/2, expected 1")
@@ -216,7 +216,7 @@ def test_matrix_product_collapse_wrong(monkeypatch):
 def test_counting_row_normalization_wrong(monkeypatch):
     real = matrices.row_times_matrix
     monkeypatch.setattr(
-        matrices, "row_times_matrix",
+        pipeline, "row_times_matrix",
         lambda u, a: tuple(v + Fraction(j, 2) for j, v in enumerate(real(u, a))),
     )
     grid = GridSpec(k=(0, 0), n=(0, 0), r=(1, 1))

@@ -288,6 +288,35 @@ def test_budget_skips_brute_force():
     assert report.ok  # skips are not failures
 
 
+def test_budget_boundary_and_skip_witnesses():
+    # the default run's golden skips no conjecture or bijection cell, so
+    # the boundary and the full texts are pinned here, one cell per suite
+    def cell(suite, name, budget, k_max):
+        checks = run_suite(suite, k_max=k_max, budget=budget).checks
+        return next(c for c in checks if c.name == name)
+
+    # (6, 3) has C(6, 3) * 3! = 120 candidates
+    assert pipeline.over_budget(6, 3, 120) is None
+    assert pipeline.over_budget(6, 3, 119) == "120 candidates exceeds budget 119"
+    assert cell("conjecture", "kernel k=3", 120, 3) == ("kernel k=3", "pass", None, "conjecture")
+    assert cell("conjecture", "kernel k=3", 119, 3) == (
+        "kernel k=3", "skipped",
+        "solved kernel [14, 15, 12, 6]; 120 candidates exceeds budget 119", "conjecture",
+    )
+    # the bijection from n = 2 walks (3, 1): 3 candidates
+    name = "insertion-bijection k=1 n=2->3"
+    assert cell("bijection", name, 3, 1) == (name, "pass", None, "bijection")
+    assert cell("bijection", name, 2, 1) == (
+        name, "skipped", "3 candidates exceeds budget 2", "bijection"
+    )
+    # (4, 1): 4 candidates
+    name = "oracle-agree k=1 n=4"
+    assert cell("all", name, 4, 1) == (name, "pass", None, "counts")
+    assert cell("all", name, 3, 1) == (
+        name, "skipped", f"4 candidates exceeds cap (budget 3, n cap {ORACLE_N_CAP})", "counts"
+    )
+
+
 def test_oracle_cap_applies():
     report = run_suite("all", k_max=0, n_max=ORACLE_N_CAP + 1, budget=10**6)
     skipped = [c for c in report.checks if c.status == "skipped" and "oracle-agree" in c.name]
