@@ -62,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=pipeline.SUITES, default="all")
     p_verify.add_argument("--k-max", type=int, default=None,
-                          help=f"default {pipeline.DEFAULT_K_MAX}")
+                          help=f"default {GridSpec().k[1]}")
     p_verify.add_argument("--n-max", type=int, default=None,
-                          help=f"default {pipeline.DEFAULT_N_MAX}")
+                          help=f"default {GridSpec().n[1]}")
     p_verify.add_argument("--budget", type=int, default=pipeline.DEFAULT_BUDGET,
                           help="cap on brute-force candidates per cell")
     p_verify.add_argument("--out", type=str, default=None,

@@ -71,7 +71,7 @@ def _convolution(a: int, b: int, x: int, col_a: list[int], col_b: list[int]) -> 
     reaching at least y = x."""
     lhs = sum(col_a[y] * col_b[x - y] for y in range(x + 1))
     rhs = binomial(a + b + x + 1, x)
-    return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lemmaA", "lhs={got} rhs={want}")
+    return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lhs={got} rhs={want}")
 
 
 def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> Fraction:
@@ -166,16 +166,19 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
 
     sum_{j=1..k+1} (-1)^(j-1)/(n-j) binomial(k, j-1) binomial(j, b)
         == (-1)^k/(n-1) * binomial(n, b) / binomial(n-2, k)
+
+    The right side is defined wherever the left one is.  The left side
+    refuses 1 <= n <= k+1, which covers n = 1 and every n >= 2 with
+    n-2 < k; so n-1 != 0, and binomial(n-2, k) is positive for
+    n >= k+2, while for n <= 0 it is (-1)^k binomial(k-n+1, k), never 0.
     """
     if not 0 <= b <= k:
         raise ValueError(f"identity stated only for 0 <= b <= k, got b={b}, k={k}")
     lhs = _sum_over_poles(k, n, lambda j: (
         (-1) ** ((j - 1) % 2) * binomial(k, j - 1) * binomial(j, b)
     ))
-    if n == 1 or binomial(n - 2, k) == 0:
-        raise ValueError(f"right side undefined at n={n}, k={k}")
     rhs = Fraction((-1) ** k, n - 1) * Fraction(binomial(n, b), binomial(n - 2, k))
-    return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lemmaC", "lhs={got} rhs={want}")
+    return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lhs={got} rhs={want}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +243,11 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
         for b, col_b in cols_b.items():
             name = f"convolution A={a} B={b} x={x_lo}..{x_hi}"
             if x_hi < x_lo:
-                results.append(skipped(
-                    name, f"x range {spec.x[0]}..{spec.x[1]} holds no x >= 0", group="lemmaA"
-                ))
+                results.append(skipped(name, f"x range {spec.x[0]}..{spec.x[1]} holds no x >= 0"))
                 continue
             points = (_convolution(a, b, x, col_a, col_b) for x in range(x_lo, x_hi + 1))
             bad = next((point for point in points if point.status != PASS), None)
-            results.append(
-                passed(name, group="lemmaA") if bad is None
-                else failed(name, bad.witness, group="lemmaA")
-            )
+            results.append(passed(name) if bad is None else failed(name, bad.witness))
     return results
 
 
@@ -264,16 +262,16 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 inside = 1 <= r <= k + 1
                 results.append(expect_within(
                     f"ones-entry k={k} r={r} n={n}", inside, f(k, r, n),
-                    1, "lemmaB", "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
+                    1, "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
                 ))
                 rname = f"ones-recurrence k={k} r={r} n={n}"
                 try:
                     residuals = _ones_residuals(f, k, r, n)
                 except ValueError as exc:
-                    results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaB"))
+                    results.append(skipped(rname, f"undefined reference: {exc}"))
                     continue
                 results.append(expect_within(
-                    rname, inside, residuals, (0, 0), "lemmaB",
+                    rname, inside, residuals, (0, 0),
                     "residuals ({got[0]}, {got[1]})",
                     "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
                 ))
@@ -292,10 +290,10 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 try:
                     value = g(k, b, n)
                 except ValueError as exc:
-                    results.append(skipped(name, f"undefined: {exc}", group="lemmaC"))
+                    results.append(skipped(name, f"undefined: {exc}"))
                     continue
                 results.append(expect_within(
-                    name, b <= k, value, 1, "lemmaC",
+                    name, b <= k, value, 1,
                     "value {got}", "outside 0 <= b <= k, recorded value {got}",
                 ))
                 if b <= k:
@@ -304,17 +302,17 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 try:
                     first, second = _moment_residuals(g, k, b, n)
                 except ValueError as exc:
-                    results.append(skipped(rname, f"undefined reference: {exc}", group="lemmaC"))
+                    results.append(skipped(rname, f"undefined reference: {exc}"))
                     continue
                 if b > k:
                     check = skipped(rname, "outside 0 <= b <= k, recorded residuals "
-                                    f"({first}, {second})", group="lemmaC")
+                                    f"({first}, {second})")
                 elif first != 0:
-                    check = failed(rname, f"k-direction residual {first}", group="lemmaC")
+                    check = failed(rname, f"k-direction residual {first}")
                 elif b == k:  # the b-direction difference reaches b+1 > k
                     check = skipped(rname, "b-direction probes b+1 > k, recorded residual "
-                                    f"{second}; k-direction residual 0", group="lemmaC")
+                                    f"{second}; k-direction residual 0")
                 else:
-                    check = expect(rname, second, 0, "lemmaC", "b-direction residual {got}")
+                    check = expect(rname, second, 0, "b-direction residual {got}")
                 results.append(check)
     return results

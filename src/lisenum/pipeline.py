@@ -10,7 +10,9 @@ Four independent routes produce the same numbers:
 The check builders the suites run over the route modules
 (``check_transfer_consistency``, ``check_counting_row``,
 ``check_insertion_bijection``) live here, so no route module builds a
-check record.
+check record.  ``run_suite`` holds the one table of suite groups and
+sets each record's group to the group that built it; a builder called
+on its own returns group ``""``.
 
 Each sibling module is bound one way: ``oracle`` as a module
 (``oracle.iter_class``), every other sibling by name
@@ -57,11 +59,10 @@ COUNT_METHODS = ("formula", "oracle", "kernel", "cramer")
 COMPONENT_METHODS = ("recursion", "transfer_matrix", "cramer", "oracle")
 SUITES = ("all", "conjecture", "lemmaA", "lemmaB", "lemmaC", "prop33", "bijection", "dodgson")
 
-DEFAULT_K_MAX = 5
-DEFAULT_N_MAX = 20
 DEFAULT_BUDGET = 10**6
 # brute force is kept to small n by default even when the matrix grids go
-# to DEFAULT_N_MAX; the candidate budget is the second, harder cap
+# to the default n bound, GridSpec().n[1]; the candidate budget is the
+# second, harder cap
 ORACLE_N_CAP = 14
 
 
@@ -259,7 +260,6 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
                 f"components-agree k={k} n={n}",
                 (recursion, components(n, k, "transfer_matrix"), components(n, k, "cramer")),
                 (recursion,) * 3,
-                "counts",
                 "recursion={got[0]} transfer={got[1]} cramer={got[2]}",
             )
             results.append(agree)
@@ -267,28 +267,27 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
                 continue
             expected = count_formula(n, k)
             results.append(expect(
-                f"count-formula-match k={k} n={n}", sum(recursion), expected, "counts",
+                f"count-formula-match k={k} n={n}", sum(recursion), expected,
                 "components sum {got}, formula {want}",
             ))
             lname = f"last-component k={k} n={n}"
-            results.append(expect(lname, recursion[-1], factorial(k), "counts"))
+            results.append(expect(lname, recursion[-1], factorial(k)))
             oname = f"oracle-agree k={k} n={n}"
             if n > ORACLE_N_CAP or over_budget(n, k, budget):
                 results.append(skipped(
                     oname,
                     f"{oracle.candidate_count(n, k)} candidates exceeds cap "
                     f"(budget {budget}, n cap {ORACLE_N_CAP})",
-                    group="counts",
                 ))
             else:
                 results.append(expect(
-                    oname, oracle.component_counts(n, k), recursion, "counts",
+                    oname, oracle.component_counts(n, k), recursion,
                     "oracle={got} recursion={want}",
                 ))
             if n >= k + 2:
                 results.append(expect(
                     f"telescoped-count k={k} n={n}",
-                    dot(counting_row(k, n), initial_vector(k)), expected, "counts",
+                    dot(counting_row(k, n), initial_vector(k)), expected,
                     "row functional gives {got}, formula {want}",
                 ))
     return results
@@ -302,14 +301,13 @@ def _suite_conjecture(k_max: int, budget: int) -> list[CheckResult]:
         try:
             solved = kernel_by_solve(k)
         except ConjectureViolation as exc:
-            results.append(failed(name, str(exc), group="conjecture"))
+            results.append(failed(name, str(exc)))
             continue
         if why := over_budget(2 * k, k, budget):
-            results.append(skipped(name, f"solved kernel {solved}; {why}", group="conjecture"))
+            results.append(skipped(name, f"solved kernel {solved}; {why}"))
             continue
         results.append(expect(
-            name, solved, oracle.component_counts(2 * k, k), "conjecture",
-            "solved={got} oracle={want}",
+            name, solved, oracle.component_counts(2 * k, k), "solved={got} oracle={want}",
         ))
     return results
 
@@ -324,7 +322,6 @@ def check_transfer_consistency(k: int, n: int) -> CheckResult:
             for i, rows in enumerate(zip(product.entries, kernel_matrix(k).entries), 1)
             for j, (got, want) in enumerate(zip(*rows), 1)
         ),
-        "lemmaA",
     )
 
 
@@ -334,7 +331,6 @@ def check_counting_row(k: int, n: int) -> CheckResult:
     return expect_entries(
         f"counting-row-normalization k={k} n={n}",
         ((f"column {j}", value, 1) for j, value in enumerate(product, 1)),
-        "lemmaB",
     )
 
 
@@ -369,18 +365,18 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
         m = kernel_matrix(k)
         for label, engine in engines:
             name = f"det-kernel-matrix k={k} engine={label}"
-            results.append(expect(name, engine(m), 1, "prop33", "det = {got}"))
+            results.append(expect(name, engine(m), 1, "det = {got}"))
         sname = f"integral-kernel-solve k={k}"
         try:
             kernel_by_solve(k)
-            results.append(passed(sname, group="prop33"))
+            results.append(passed(sname))
         except ConjectureViolation as exc:
-            results.append(failed(sname, str(exc), group="prop33"))
+            results.append(failed(sname, str(exc)))
         for n in range(2 * k, n_max + 1):
             q = component_matrix(k, n)
             for label, engine in engines:
                 name = f"det-component-matrix k={k} n={n} engine={label}"
-                results.append(expect(name, engine(q), 1, "prop33", "det = {got}"))
+                results.append(expect(name, engine(q), 1, "det = {got}"))
     for k in range(min(k_max, 3) + 1):
         for x in range(grid.x[0], grid.x[1] + 1):
             for y in range(grid.y[0], grid.y[1] + 1):
@@ -388,10 +384,10 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
                 try:
                     closed = binomial_det_product(k, x, y)
                 except ValueError as exc:
-                    results.append(skipped(name, str(exc), group="prop33"))
+                    results.append(skipped(name, str(exc)))
                     continue
                 results.append(expect(
-                    name, closed, det_bareiss(shifted_binomial_matrix(k, x, y)), "prop33",
+                    name, closed, det_bareiss(shifted_binomial_matrix(k, x, y)),
                     "product {got} vs determinant {want}",
                 ))
     return results
@@ -414,10 +410,10 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     images = [oracle.insert_prefix(mu, i) for i in range(1, k + 2) for mu in source if mu[0] >= i]
     members = list(oracle.iter_class(n + 1, k))
     if images == members:
-        return passed(name, group="bijection")
+        return passed(name)
     pair = next(pair for pair in zip_longest(images, members) if pair[0] != pair[1])
     image, member = ("none" if mu is None else oracle.format_perm(mu) for mu in pair)
-    return failed(name, f"image {image}, enumerated {member}", group="bijection")
+    return failed(name, f"image {image}, enumerated {member}")
 
 
 def _suite_bijection(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
@@ -426,7 +422,7 @@ def _suite_bijection(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
         for n in range(max(2 * k, 1), min(n_max, 9) + 1):
             if why := over_budget(n + 1, k, budget):
                 name = f"insertion-bijection k={k} n={n}->{n + 1}"
-                results.append(skipped(name, why, group="bijection"))
+                results.append(skipped(name, why))
                 continue
             results.append(check_insertion_bijection(n, k))
     return results
@@ -454,9 +450,7 @@ def _suite_dodgson() -> list[CheckResult]:
         name = f"engines-agree dim={dim} planted-zero={str(planted).lower()} count={len(batch)}"
         dets = ((i, det_bareiss(m), det_dodgson(m)) for i, m in batch)
         bad = next((f"matrix #{i}: bareiss {b} vs dodgson {d}" for i, b, d in dets if b != d), None)
-        results.append(
-            passed(name, group="dodgson") if bad is None else failed(name, bad, group="dodgson")
-        )
+        results.append(passed(name) if bad is None else failed(name, bad))
     return results
 
 
@@ -469,12 +463,14 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named verification suite and return its report.
 
-    A bound left out is the grid's upper bound when a grid is given,
-    else DEFAULT_K_MAX or DEFAULT_N_MAX."""
+    A bound left out is the upper bound of ``grid``, or of ``GridSpec()``
+    when no grid is given.  ``groups`` is the one table of suite groups,
+    in report order; each record's group is the group that built it."""
+    spec = grid or GridSpec()
     if k_max is None:
-        k_max = grid.k[1] if grid is not None else DEFAULT_K_MAX
+        k_max = spec.k[1]
     if n_max is None:
-        n_max = grid.n[1] if grid is not None else DEFAULT_N_MAX
+        n_max = spec.n[1]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; use one of {SUITES}")
     if k_max < 0:
@@ -485,23 +481,21 @@ def run_suite(
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if grid is None:
         grid = GridSpec(k=(0, k_max), n=(0, n_max))
+    groups = {
+        "counts": lambda: _suite_counts(k_max, n_max, budget),
+        "conjecture": lambda: _suite_conjecture(k_max, budget),
+        "lemmaA": lambda: _suite_lemma_a(k_max, n_max, grid),
+        "lemmaB": lambda: _suite_lemma_b(k_max, n_max, grid),
+        "lemmaC": lambda: _suite_lemma_c(grid),
+        "prop33": lambda: _suite_prop33(k_max, n_max, grid),
+        "bijection": lambda: _suite_bijection(k_max, n_max, budget),
+        "dodgson": _suite_dodgson,
+    }
     start = time.perf_counter()
     checks: list[CheckResult] = []
-    if suite in ("all",):
-        checks.extend(_suite_counts(k_max, n_max, budget))
-    if suite in ("all", "conjecture"):
-        checks.extend(_suite_conjecture(k_max, budget))
-    if suite in ("all", "lemmaA"):
-        checks.extend(_suite_lemma_a(k_max, n_max, grid))
-    if suite in ("all", "lemmaB"):
-        checks.extend(_suite_lemma_b(k_max, n_max, grid))
-    if suite in ("all", "lemmaC"):
-        checks.extend(_suite_lemma_c(grid))
-    if suite in ("all", "prop33"):
-        checks.extend(_suite_prop33(k_max, n_max, grid))
-    if suite in ("all", "bijection"):
-        checks.extend(_suite_bijection(k_max, n_max, budget))
-    if suite in ("all", "dodgson"):
-        checks.extend(_suite_dodgson())
+    for group, run in groups.items():
+        if suite in ("all", group):
+            checks.extend(CheckResult(name, status, witness, group)
+                          for name, status, witness, _ in run())
     bounds = {"k_max": k_max, "n_max": n_max, "budget": budget}
     return VerificationReport(suite, bounds, checks, time.perf_counter() - start)

@@ -1,4 +1,8 @@
-"""Structured pass/fail records for verification runs."""
+"""Structured pass/fail records for verification runs.
+
+The helpers below build records without a group: a check builder called
+on its own returns group ``""``, and ``pipeline.run_suite`` sets each
+record's group to the suite that ran it."""
 
 from __future__ import annotations
 
@@ -28,46 +32,42 @@ class CheckResult(NamedTuple):
         return d
 
 
-def passed(name: str, group: str = "") -> CheckResult:
-    return CheckResult(name, PASS, None, group)
+def passed(name: str) -> CheckResult:
+    return CheckResult(name, PASS)
 
 
-def failed(name: str, witness: str, group: str = "") -> CheckResult:
-    return CheckResult(name, FAIL, witness, group)
+def failed(name: str, witness: str) -> CheckResult:
+    return CheckResult(name, FAIL, witness)
 
 
-def skipped(name: str, witness: str, group: str = "") -> CheckResult:
-    return CheckResult(name, SKIPPED, witness, group)
+def skipped(name: str, witness: str) -> CheckResult:
+    return CheckResult(name, SKIPPED, witness)
 
 
-def expect(
-    name: str, got, want, group: str, witness: str = "got {got}, expected {want}"
-) -> CheckResult:
+def expect(name: str, got, want, witness: str = "got {got}, expected {want}") -> CheckResult:
     """Pass when ``got == want``, else fail with ``witness`` formatted from
     both sides (``{got}``, ``{want}``, ``{got[0]}`` ...).  The witness is
     formatted only on failure; exact values print as ``str`` does."""
     if got == want:
-        return CheckResult(name, PASS, None, group)
-    return CheckResult(name, FAIL, witness.format(got=got, want=want), group)
+        return CheckResult(name, PASS)
+    return CheckResult(name, FAIL, witness.format(got=got, want=want))
 
 
-def expect_within(
-    name: str, inside: bool, got, want, group: str, witness: str, recorded: str
-) -> CheckResult:
+def expect_within(name: str, inside: bool, got, want, witness: str, recorded: str) -> CheckResult:
     """:func:`expect` inside an identity's window; outside it the value is
     a recorded probe, ``skipped`` with witness ``recorded.format(got=got)``."""
     if inside:
-        return expect(name, got, want, group, witness)
-    return CheckResult(name, SKIPPED, recorded.format(got=got), group)
+        return expect(name, got, want, witness)
+    return CheckResult(name, SKIPPED, recorded.format(got=got))
 
 
-def expect_entries(name: str, cells, group: str) -> CheckResult:
+def expect_entries(name: str, cells) -> CheckResult:
     """Pass when every ``(where, got, want)`` cell agrees, else fail at the
     first mismatch with ``"{where}: got {got}, expected {want}"``."""
     for where, got, want in cells:
         if got != want:
-            return CheckResult(name, FAIL, f"{where}: got {got}, expected {want}", group)
-    return CheckResult(name, PASS, None, group)
+            return CheckResult(name, FAIL, f"{where}: got {got}, expected {want}")
+    return CheckResult(name, PASS)
 
 
 class VerificationReport(NamedTuple):

@@ -241,9 +241,37 @@ MUTANTS = (
     ),
     Mutant(
         "run-suite-ignores-grid-bound", "pipeline.py",
-        "k_max = grid.k[1] if grid is not None else DEFAULT_K_MAX",
-        "k_max = DEFAULT_K_MAX",
+        "spec = grid or GridSpec()",
+        "spec = GridSpec()",
         ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+    # pipeline: the one group table and the records it regroups
+    Mutant(
+        "run-suite-all-runs-nothing", "pipeline.py",
+        'if suite in ("all", group):',
+        "if suite == group:",
+        ("tests/test_pipeline.py::test_run_suite_sets_each_group_once_in_table_order",),
+    ),
+    Mutant(
+        "group-table-keys-swapped", "pipeline.py",
+        '"lemmaA": lambda: _suite_lemma_a(k_max, n_max, grid),\n'
+        '        "lemmaB": lambda: _suite_lemma_b(k_max, n_max, grid),',
+        '"lemmaB": lambda: _suite_lemma_a(k_max, n_max, grid),\n'
+        '        "lemmaA": lambda: _suite_lemma_b(k_max, n_max, grid),',
+        ("tests/test_pipeline.py::test_run_suite_sets_each_group_once_in_table_order",),
+    ),
+    Mutant(
+        "regroup-drops-witness", "pipeline.py",
+        "CheckResult(name, status, witness, group)",
+        "CheckResult(name, status, None, group)",
+        ("tests/test_failure_paths.py::test_components_disagree",),
+    ),
+    # identities: GridSpec owns verify's default bounds
+    Mutant(
+        "grid-default-k-bound", "identities.py",
+        "k: Range = (0, 5)",
+        "k: Range = (0, 4)",
+        ("tests/test_acceptance.py::test_criterion_9_default_verify_run",),
     ),
     # pipeline: the one budget rule and the suites that ask it
     Mutant(
@@ -300,14 +328,32 @@ MUTANTS = (
     Mutant(
         "moment-branches-swapped", "identities.py",
         "elif first != 0:\n"
-        '                    check = failed(rname, f"k-direction residual {first}", '
-        'group="lemmaC")\n'
+        '                    check = failed(rname, f"k-direction residual {first}")\n'
         "                elif b == k:",
         "elif b == k:\n"
-        '                    check = failed(rname, f"k-direction residual {first}", '
-        'group="lemmaC")\n'
+        '                    check = failed(rname, f"k-direction residual {first}")\n'
         "                elif first != 0:",
         ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
+    ),
+    # identities: the right side of the two-sided moment identity
+    Mutant(
+        "moment-identity-rhs-unsigned", "identities.py",
+        "rhs = Fraction((-1) ** k, n - 1)",
+        "rhs = Fraction(1, n - 1)",
+        ("tests/test_identities.py::test_sums_match_term_by_term_references",),
+    ),
+    # report: the builders' windows and first-mismatch scan
+    Mutant(
+        "expect-within-asserts-probes", "report.py",
+        "    if inside:\n",
+        "    if True:\n",
+        ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
+    ),
+    Mutant(
+        "expect-entries-never-fails", "report.py",
+        "        if got != want:\n",
+        "        if False:\n",
+        ("tests/test_failure_paths.py::test_matrix_product_collapse_wrong",),
     ),
     # cli: listing's separators and chunks, the budget it asks, verify's bounds
     Mutant(
@@ -336,6 +382,12 @@ MUTANTS = (
         "default=pipeline.DEFAULT_BUDGET,",
         "default=10**5,",
         ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+    Mutant(
+        "verify-help-n-bound-from-k", "cli.py",
+        'help=f"default {GridSpec().n[1]}"',
+        'help=f"default {GridSpec().k[1]}"',
+        ("tests/test_cli.py::test_verify_help_names_the_default_bounds",),
     ),
     Mutant(
         "verify-drops-k-max", "cli.py",

@@ -1,7 +1,9 @@
 """The routes share no code beyond ``exact``: each route module may import
 only the package modules pinned here, read from its source with ``ast``.
 The package exports each of its public names exactly once, and the CLI
-loads no standard module that its commands do not use."""
+loads no standard module that its commands do not use.  Only
+``run_suite`` names the suite groups, and the source holds no float but
+the report's runtime."""
 
 import ast
 import os
@@ -13,6 +15,7 @@ from types import ModuleType
 import pytest
 
 import lisenum
+from lisenum import pipeline
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 
@@ -161,3 +164,55 @@ def test_cli_path_imports_only_what_runs():
     assert done.returncode == 0, done.stderr
     reports = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded:")]
     assert reports == [[], ["json"]]
+
+
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def test_only_run_suite_names_the_groups():
+    groups = set(pipeline.SUITES) - {"all"} | {"counts"}
+    for module in MODULES:
+        if module != "pipeline":
+            nodes = ast.walk(module_tree(module))
+            found = {n.value for n in nodes if isinstance(n, ast.Constant) and n.value in groups}
+            assert not found, module
+    helpers = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in module_tree("report").body if isinstance(node, ast.FunctionDef)
+    }
+    assert set(helpers) == {
+        "passed", "failed", "skipped", "expect", "expect_within", "expect_entries",
+    }
+    assert not [name for name, args in helpers.items() if "group" in args]
+
+
+# the integer functions of math; the rest take or return floats
+EXACT_MATH = {"comb", "perm", "lcm", "prod", "factorial"}
+
+
+def test_no_float_in_the_source():
+    # the one float is VerificationReport.runtime_seconds: its annotation,
+    # its 0.0 default and the clock readings in run_suite that fill it
+    floats, math_names, clock = [], set(), []
+    for module in MODULES:
+        for top in module_tree(module).body:
+            where = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and type(node.value) is float:
+                    floats.append((*where, node.value))
+                elif isinstance(node, ast.Name) and node.id == "float":
+                    floats.append((*where, "float"))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id == "math":
+                        math_names.add(node.attr)
+                    elif node.value.id == "time":
+                        clock.append((*where, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                    math_names |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.Import):
+                    assert all(a.asname is None for a in node.names if a.name == "math")
+    report = ("report", "VerificationReport")
+    assert floats == [(*report, "float"), (*report, 0.0)]
+    assert math_names <= EXACT_MATH
+    assert clock == [("pipeline", "run_suite", "perf_counter")] * 2

@@ -365,6 +365,14 @@ def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, check
     assert len(got["checks"]) == checks
 
 
+def test_verify_help_names_the_default_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--k-max K_MAX default 5 --n-max N_MAX default 20" in text
+
+
 def test_verify_bad_grid_file(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({"bogus": [0, 1]}))
@@ -394,6 +402,9 @@ def test_verify_inconsistent_bounds(capsys):
     code, _, err = run_cli(capsys, "verify", "--k-max", "4", "--n-max", "5")
     assert code == 2
     assert "n-max" in err
+    assert run_cli(capsys, "verify", "--budget", "-1") == (
+        2, "", "error: budget must be nonnegative, got -1\n"
+    )
 
 
 def test_unknown_suite_usage_error():

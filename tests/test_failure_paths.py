@@ -167,6 +167,18 @@ def test_dodgson_runs_without_bareiss(monkeypatch):
     assert [c.status for c in checks] == ["pass"] * 9
 
 
+def test_cramer_count_row_functional_mismatch(monkeypatch, capsys):
+    real = matrices.counting_row
+    monkeypatch.setattr(pipeline, "counting_row", lambda k, n: real(k, n)[:-1] + (0,))
+    message = "row-functional count 27 disagrees with determinant count 55 at n=9, k=2"
+    with pytest.raises(ArithmeticError) as exc:
+        pipeline.count(9, 2, "cramer")
+    assert str(exc.value) == message
+    code = main(["count", "--n", "9", "--k", "2", "--method", "cramer"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_cramer_components_non_integral(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_cramer", lambda a, v: (Fraction(2), Fraction(1, 2)))
     with pytest.raises(ArithmeticError, match=r"n=3, k=1: entry 2 is non-integral \(1/2\)"):
@@ -182,6 +194,13 @@ def test_det_product_mismatch(monkeypatch):
         ("prop33", "det-product k=0 x=0 y=1", "product 4 vs determinant 3"),
         ("prop33", "det-product k=0 x=1 y=0", "product 4 vs determinant 3"),
         ("prop33", "det-product k=0 x=1 y=1", "product 7 vs determinant 6"),
+    ]
+
+
+def test_det_product_vanishing_divisor_is_skipped():
+    grid = GridSpec(k=(0, 0), n=(0, 0), x=(0, 0), y=(-2, -2))
+    assert skips(pipeline.run_suite("prop33", grid=grid).checks) == [
+        ("det-product k=0 x=0 y=-2", "vanishing divisor binomial(-1, -1) at i=1 (x=0, y=-2)"),
     ]
 
 
@@ -238,7 +257,7 @@ def test_ones_entry_wrong_in_window(monkeypatch):
 
     monkeypatch.setattr(identities, "ones_product_entry", planted)
     grid = GridSpec(k=(0, 1), n=(0, 4), r=(1, 3))
-    assert failures(identities.run_ones_identity_grid(grid)) == [
+    assert failures(pipeline.run_suite("lemmaB", grid=grid).checks) == [
         ("lemmaB", "ones-entry k=0 r=1 n=2", "value 2"),
         ("lemmaB", "ones-entry k=0 r=1 n=3", "value 2"),
         ("lemmaB", "ones-recurrence k=0 r=1 n=3", "residuals (0, -1)"),
@@ -260,7 +279,7 @@ def test_moment_sum_wrong_k_direction(monkeypatch):
 
     monkeypatch.setattr(identities, "binomial_moment_sum", planted)
     grid = GridSpec(k=(0, 1), n=(0, 3), b=(0, 2))
-    assert failures(identities.run_moment_identity_grid(grid)) == [
+    assert failures(pipeline.run_suite("lemmaC", grid=grid).checks) == [
         ("lemmaC", "moment-sum k=0 b=0 n=2", "value 2"),
         ("lemmaC", "moment-sum k=0 b=0 n=3", "value 2"),
         ("lemmaC", "moment-recurrence k=0 b=0 n=3", "k-direction residual -1"),
@@ -274,7 +293,7 @@ def test_moment_sum_wrong_b_direction(monkeypatch):
         return real(k, b, n) + b if b <= k else real(k, b, n)
 
     monkeypatch.setattr(identities, "binomial_moment_sum", planted)
-    checks = identities.run_moment_identity_grid(GridSpec(k=(0, 1), n=(0, 5), b=(0, 2)))
+    checks = pipeline.run_suite("lemmaC", grid=GridSpec(k=(0, 1), n=(0, 5), b=(0, 2))).checks
     assert failures(checks) == [
         ("lemmaC", "moment-sum k=1 b=1 n=3", "value 2"),
         ("lemmaC", "moment-recurrence k=1 b=0 n=4", "b-direction residual 1"),
@@ -318,8 +337,8 @@ def test_convolution_wrong(monkeypatch):
     grid = GridSpec(A=(0, 0), B=(-1, 0), x=(0, 2))
     checks = [identities.vandermonde_chu_check(0, 0, 1)] + identities.run_convolution_grid(grid)
     assert failures(checks) == [
-        ("lemmaA", "convolution A=0 B=0 x=1", "lhs=2 rhs=3"),
-        ("lemmaA", "convolution A=0 B=0 x=0..2", "lhs=2 rhs=3"),
+        ("", "convolution A=0 B=0 x=1", "lhs=2 rhs=3"),
+        ("", "convolution A=0 B=0 x=0..2", "lhs=2 rhs=3"),
     ]
 
 
@@ -327,7 +346,7 @@ def test_moment_identity_wrong(monkeypatch):
     real = identities.binomial
     monkeypatch.setattr(identities, "binomial", lambda c, d: 2 if (c, d) == (5, 0) else real(c, d))
     assert failures([identities.moment_identity_check(0, 0, 5)]) == [
-        ("lemmaC", "moment-identity k=0 b=0 n=5", "lhs=1/4 rhs=1/2"),
+        ("", "moment-identity k=0 b=0 n=5", "lhs=1/4 rhs=1/2"),
     ]
 
 
@@ -345,7 +364,7 @@ def test_bijection_image_out_of_order(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "insert_prefix", swapped)
     result = pipeline.check_insertion_bijection(4, 2)
     assert (result.group, result.name, result.status, result.witness) == (
-        "bijection", "insertion-bijection k=2 n=4->5", "fail", "image 12534, enumerated 12543",
+        "", "insertion-bijection k=2 n=4->5", "fail", "image 12534, enumerated 12543",
     )
     code = main(["verify", "--suite", "bijection", "--k-max", "2", "--n-max", "4"])
     lines = capsys.readouterr().out.splitlines()

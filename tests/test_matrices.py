@@ -251,6 +251,8 @@ def test_det_requires_square():
         det_bareiss(rect)
     with pytest.raises(ValueError):
         det_dodgson(rect)
+    with pytest.raises(ValueError, match="^solve needs a square matrix, got 2x3$"):
+        solve_cramer(rect, (1, 2))
 
 
 def test_unit_determinants():
@@ -602,6 +604,12 @@ def test_det_product_vanishing_divisor():
         binomial_det_product(2, 0, -2)
     with pytest.raises(ValueError, match="vanishing divisor"):
         binomial_det_product(1, 5, -4)
+
+
+@pytest.mark.parametrize("build", [shifted_binomial_matrix, binomial_det_product])
+def test_det_product_refuses_negative_k(build):
+    with pytest.raises(ValueError, match="^k must be nonnegative, got k=-1$"):
+        build(-1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

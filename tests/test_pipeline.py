@@ -23,7 +23,6 @@ from lisenum import (
 )
 from lisenum import matrices, pipeline
 from lisenum.pipeline import ORACLE_N_CAP
-from lisenum.report import failed
 
 KERNELS = {
     0: [1],
@@ -342,6 +341,21 @@ def test_run_suite_validation():
         run_suite("all", grid=GridSpec.from_dict({"k": [0, 5], "n": [0, 8]}))
     with pytest.raises(ValueError, match="^k-max must be nonnegative, got -1$"):
         run_suite("all", k_max=-1, grid=GridSpec.from_dict({"k": [0, 2], "n": [0, 8]}))
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        run_suite("all", budget=-1)
+
+
+GROUP_ORDER = ["counts", "conjecture", "lemmaA", "lemmaB", "lemmaC", "prop33", "bijection", "dodgson"]
+
+
+def test_run_suite_sets_each_group_once_in_table_order():
+    checks = run_suite("all", k_max=1, n_max=3, budget=10**4).checks
+    runs = [c.group for i, c in enumerate(checks) if i == 0 or c.group != checks[i - 1].group]
+    assert runs == GROUP_ORDER
+    for suite in GROUP_ORDER[1:]:
+        single = run_suite(suite, k_max=1, n_max=3, budget=10**4).checks
+        assert single and {c.group for c in single} == {suite}
+        assert single == [c for c in checks if c.group == suite]
 
 
 def test_report_json_shape():
@@ -357,7 +371,7 @@ def test_report_json_shape():
 
 
 def test_report_summary_mentions_failures():
-    report = VerificationReport("demo", {}, [failed("broken thing", "witness text", "g")])
+    report = VerificationReport("demo", {}, [CheckResult("broken thing", "fail", "witness text", "g")])
     assert not report.ok
     assert "broken thing" in report.summary()
     assert "witness text" in report.summary()
