@@ -123,11 +123,15 @@ def _cmd_verify(args) -> int:
     report = pipeline.run_suite(
         args.suite, k_max=args.k_max, n_max=args.n_max, budget=args.budget, grid=grid
     )
-    print(report.summary())
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    # written after the summary, which then leaves first, and also when
+    # printing it fails on a closed pipe
+    try:
+        print(report.summary())
+    finally:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(report.to_json(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
     return 0 if report.ok else 1
 
 

@@ -188,10 +188,15 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
 class GridSpec(NamedTuple):
     """Inclusive integer ranges for every free parameter of the suites.
 
-    ``n`` lower bounds are raised per point to max(2k, k+2); ``r`` and
-    ``b`` values beyond the identity windows are probed and recorded,
-    not asserted.  ``A``/``B`` and ``x`` drive the convolution grid; ``x``
-    and ``y`` also drive the determinant product grid.
+    ``k`` and ``n`` bound every per-(k, n) check of ``verify``, the
+    matrix and brute-force checks as well as the identity grids; the
+    defaults are verify's default bounds.  Negative ``k`` are dropped,
+    and ``n`` lower bounds are raised per k to the size rule n >= 2k
+    (``sizes``), or to max(2k, k+2) where the identities have poles
+    (``n_values``).  ``r`` and ``b`` values beyond the identity windows
+    are probed and recorded, not asserted.  ``A``/``B`` and ``x`` drive
+    the convolution grid; ``x`` and ``y`` also drive the determinant
+    product grid.
     """
 
     k: Range = (0, 5)
@@ -224,6 +229,9 @@ class GridSpec(NamedTuple):
 
     def k_values(self) -> range:
         return range(max(self.k[0], 0), self.k[1] + 1)
+
+    def sizes(self, k: int) -> range:
+        return range(max(self.n[0], 2 * k), self.n[1] + 1)
 
     def n_values(self, k: int) -> range:
         return range(max(self.n[0], 2 * k, k + 2), self.n[1] + 1)

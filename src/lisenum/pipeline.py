@@ -10,9 +10,10 @@ Four independent routes produce the same numbers:
 The check builders the suites run over the route modules
 (``check_transfer_consistency``, ``check_counting_row``,
 ``check_insertion_bijection``) live here, so no route module builds a
-check record.  ``run_suite`` holds the one table of suite groups and
-sets each record's group to the group that built it; a builder called
-on its own returns group ``""``.
+check record.  ``run_suite`` resolves the one grid every suite reads
+its (k, n) cells from, holds the one table of suite groups and sets
+each record's group to the group that built it; a builder called on
+its own returns group ``""``.
 
 Each sibling module is bound one way: ``oracle`` as a module
 (``oracle.iter_class``), every other sibling by name
@@ -250,11 +251,11 @@ def over_budget(n: int, k: int, budget: int) -> str | None:
     return None
 
 
-def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
+def _suite_counts(grid: GridSpec, budget: int) -> list[CheckResult]:
     """Method agreement, row sums, constant last entry, telescoped count."""
     results = []
-    for k in range(k_max + 1):
-        for n in range(2 * k, n_max + 1):
+    for k in grid.k_values():
+        for n in grid.sizes(k):
             recursion = components(n, k, "recursion")
             agree = expect(
                 f"components-agree k={k} n={n}",
@@ -293,10 +294,10 @@ def _suite_counts(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
     return results
 
 
-def _suite_conjecture(k_max: int, budget: int) -> list[CheckResult]:
+def _suite_conjecture(grid: GridSpec, budget: int) -> list[CheckResult]:
     """Solved kernel versus brute-forced kernel."""
     results = []
-    for k in range(k_max + 1):
+    for k in grid.k_values():
         name = f"kernel k={k}"
         try:
             solved = kernel_by_solve(k)
@@ -334,34 +335,26 @@ def check_counting_row(k: int, n: int) -> CheckResult:
     )
 
 
-def _suite_lemma_a(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
-    results = []
-    for k in range(k_max + 1):
-        for n in range(2 * k, n_max + 1):
-            results.append(check_transfer_consistency(k, n))
-    results.extend(run_convolution_grid(grid))
-    return results
+def _suite_lemma_a(grid: GridSpec, budget: int) -> list[CheckResult]:
+    collapse = [check_transfer_consistency(k, n) for k in grid.k_values() for n in grid.sizes(k)]
+    return collapse + run_convolution_grid(grid)
 
 
-def _suite_lemma_b(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
-    results = []
-    for k in range(k_max + 1):
-        for n in range(max(2 * k, k + 2), n_max + 1):
-            results.append(check_counting_row(k, n))
-    results.extend(run_ones_identity_grid(grid))
-    return results
+def _suite_lemma_b(grid: GridSpec, budget: int) -> list[CheckResult]:
+    rows = [check_counting_row(k, n) for k in grid.k_values() for n in grid.n_values(k)]
+    return rows + run_ones_identity_grid(grid)
 
 
-def _suite_lemma_c(grid: GridSpec) -> list[CheckResult]:
+def _suite_lemma_c(grid: GridSpec, budget: int) -> list[CheckResult]:
     return run_moment_identity_grid(grid)
 
 
-def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
+def _suite_prop33(grid: GridSpec, budget: int) -> list[CheckResult]:
     """Unit determinants by both engines, integral solves and the product
     form of the parameterized determinant."""
     engines = (("bareiss", det_bareiss), ("dodgson", det_dodgson))
     results = []
-    for k in range(k_max + 1):
+    for k in grid.k_values():
         m = kernel_matrix(k)
         for label, engine in engines:
             name = f"det-kernel-matrix k={k} engine={label}"
@@ -372,12 +365,12 @@ def _suite_prop33(k_max: int, n_max: int, grid: GridSpec) -> list[CheckResult]:
             results.append(passed(sname))
         except ConjectureViolation as exc:
             results.append(failed(sname, str(exc)))
-        for n in range(2 * k, n_max + 1):
+        for n in grid.sizes(k):
             q = component_matrix(k, n)
             for label, engine in engines:
                 name = f"det-component-matrix k={k} n={n} engine={label}"
                 results.append(expect(name, engine(q), 1, "det = {got}"))
-    for k in range(min(k_max, 3) + 1):
+    for k in grid._replace(k=(grid.k[0], min(grid.k[1], 3))).k_values():
         for x in range(grid.x[0], grid.x[1] + 1):
             for y in range(grid.y[0], grid.y[1] + 1):
                 name = f"det-product k={k} x={x} y={y}"
@@ -416,10 +409,13 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     return failed(name, f"image {image}, enumerated {member}")
 
 
-def _suite_bijection(k_max: int, n_max: int, budget: int) -> list[CheckResult]:
+def _suite_bijection(grid: GridSpec, budget: int) -> list[CheckResult]:
+    """The bijection from every n >= 1 of the grid, capped at k <= 3, n <= 9."""
+    small = grid._replace(k=(grid.k[0], min(grid.k[1], 3)),
+                          n=(max(grid.n[0], 1), min(grid.n[1], 9)))
     results = []
-    for k in range(min(k_max, 3) + 1):
-        for n in range(max(2 * k, 1), min(n_max, 9) + 1):
+    for k in small.k_values():
+        for n in small.sizes(k):
             if why := over_budget(n + 1, k, budget):
                 name = f"insertion-bijection k={k} n={n}->{n + 1}"
                 results.append(skipped(name, why))
@@ -437,8 +433,9 @@ def random_integer_matrix(rng: random.Random, dim: int, plant_zero: bool) -> Mat
     return Matrix(rows)
 
 
-def _suite_dodgson() -> list[CheckResult]:
-    """Engine agreement on 1000 seeded random matrices of dimension 2..6."""
+def _suite_dodgson(grid: GridSpec, budget: int) -> list[CheckResult]:
+    """Engine agreement on 1000 seeded random matrices of dimension 2..6;
+    the grid and the budget bound none of them."""
     rng = random.Random(20240229)
     batches: dict[tuple[int, bool], list[tuple[int, Matrix]]] = {}
     for index in range(1000):
@@ -463,32 +460,34 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named verification suite and return its report.
 
-    A bound left out is the upper bound of ``grid``, or of ``GridSpec()``
-    when no grid is given.  ``groups`` is the one table of suite groups,
-    in report order; each record's group is the group that built it."""
-    spec = grid or GridSpec()
-    if k_max is None:
-        k_max = spec.k[1]
-    if n_max is None:
-        n_max = spec.n[1]
+    Every suite reads its k and n ranges from one resolved grid:
+    ``grid``, or ``GridSpec()`` when none is given, with its ``k`` and
+    ``n`` upper bounds replaced by ``k_max`` and ``n_max`` when those
+    are given.  The replaced ranges pass ``GridSpec.from_dict``'s range
+    check, so a bound below its range's lower bound raises there.
+    ``groups`` is the one table of suite groups, in report order; each
+    record's group is the group that built it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; use one of {SUITES}")
+    grid = grid or GridSpec()
+    k_max = grid.k[1] if k_max is None else k_max
+    n_max = grid.n[1] if n_max is None else n_max
     if k_max < 0:
         raise ValueError(f"k-max must be nonnegative, got {k_max}")
     if n_max < 2 * k_max:
         raise ValueError(f"n-max must be at least 2*k-max: n_max={n_max}, k_max={k_max}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if grid is None:
-        grid = GridSpec(k=(0, k_max), n=(0, n_max))
+    upper = GridSpec.from_dict({"k": [grid.k[0], k_max], "n": [grid.n[0], n_max]})
+    grid = grid._replace(k=upper.k, n=upper.n)
     groups = {
-        "counts": lambda: _suite_counts(k_max, n_max, budget),
-        "conjecture": lambda: _suite_conjecture(k_max, budget),
-        "lemmaA": lambda: _suite_lemma_a(k_max, n_max, grid),
-        "lemmaB": lambda: _suite_lemma_b(k_max, n_max, grid),
-        "lemmaC": lambda: _suite_lemma_c(grid),
-        "prop33": lambda: _suite_prop33(k_max, n_max, grid),
-        "bijection": lambda: _suite_bijection(k_max, n_max, budget),
+        "counts": _suite_counts,
+        "conjecture": _suite_conjecture,
+        "lemmaA": _suite_lemma_a,
+        "lemmaB": _suite_lemma_b,
+        "lemmaC": _suite_lemma_c,
+        "prop33": _suite_prop33,
+        "bijection": _suite_bijection,
         "dodgson": _suite_dodgson,
     }
     start = time.perf_counter()
@@ -496,6 +495,6 @@ def run_suite(
     for group, run in groups.items():
         if suite in ("all", group):
             checks.extend(CheckResult(name, status, witness, group)
-                          for name, status, witness, _ in run())
-    bounds = {"k_max": k_max, "n_max": n_max, "budget": budget}
+                          for name, status, witness, _ in run(grid, budget))
+    bounds = {"k_max": grid.k[1], "n_max": grid.n[1], "budget": budget}
     return VerificationReport(suite, bounds, checks, time.perf_counter() - start)

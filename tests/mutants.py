@@ -240,10 +240,85 @@ MUTANTS = (
         ("tests/test_oracle.py::test_insertion_bijection_passes",),
     ),
     Mutant(
+        "count-formula-float-division", "pipeline.py",
+        "* falling_factorial(n, i) for i",
+        "* (factorial(n) / factorial(n - i)) for i",
+        ("tests/test_boundaries.py::test_no_float_is_returned_at_runtime",),
+    ),
+    # pipeline: run_suite resolves one grid, and every suite reads its cells from it
+    Mutant(
         "run-suite-ignores-grid-bound", "pipeline.py",
-        "spec = grid or GridSpec()",
-        "spec = GridSpec()",
+        "grid = grid or GridSpec()",
+        "grid = GridSpec()",
         ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+    Mutant(
+        "override-applied-to-a-copy", "pipeline.py",
+        "grid = grid._replace(k=upper.k, n=upper.n)",
+        "resolved = grid._replace(k=upper.k, n=upper.n)",
+        ("tests/test_pipeline.py::test_k_max_bounds_the_identity_grids_too",),
+    ),
+    Mutant(
+        "grid-sizes-drop-n-floor", "identities.py",
+        "return range(max(self.n[0], 2 * k), self.n[1] + 1)",
+        "return range(2 * k, self.n[1] + 1)",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "counts-k-from-zero", "pipeline.py",
+        "    for k in grid.k_values():\n"
+        "        for n in grid.sizes(k):\n"
+        "            recursion = ",
+        "    for k in range(grid.k[1] + 1):\n"
+        "        for n in grid.sizes(k):\n"
+        "            recursion = ",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "conjecture-k-from-zero", "pipeline.py",
+        "    for k in grid.k_values():\n"
+        '        name = f"kernel k={k}"',
+        "    for k in range(grid.k[1] + 1):\n"
+        '        name = f"kernel k={k}"',
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "lemma-a-k-from-zero", "pipeline.py",
+        "check_transfer_consistency(k, n) for k in grid.k_values()",
+        "check_transfer_consistency(k, n) for k in range(grid.k[1] + 1)",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "lemma-b-rows-at-poles", "pipeline.py",
+        "for k in grid.k_values() for n in grid.n_values(k)]",
+        "for k in grid.k_values() for n in grid.sizes(k)]",
+        ("tests/test_pipeline.py::test_individual_suites_pass",),
+    ),
+    Mutant(
+        "lemma-c-ignores-grid", "pipeline.py",
+        "return run_moment_identity_grid(grid)",
+        "return run_moment_identity_grid(GridSpec())",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "prop33-dets-n-from-2k", "pipeline.py",
+        "        for n in grid.sizes(k):\n"
+        "            q = component_matrix(k, n)",
+        "        for n in range(2 * k, grid.n[1] + 1):\n"
+        "            q = component_matrix(k, n)",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "det-product-cap-from-zero", "pipeline.py",
+        "for k in grid._replace(k=(grid.k[0], min(grid.k[1], 3))).k_values():",
+        "for k in range(min(grid.k[1], 3) + 1):",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
+    ),
+    Mutant(
+        "bijection-floor-drops-grid", "pipeline.py",
+        "n=(max(grid.n[0], 1), min(grid.n[1], 9))",
+        "n=(1, min(grid.n[1], 9))",
+        ("tests/test_pipeline.py::test_every_suite_reads_its_cells_from_the_grid",),
     ),
     # pipeline: the one group table and the records it regroups
     Mutant(
@@ -254,10 +329,10 @@ MUTANTS = (
     ),
     Mutant(
         "group-table-keys-swapped", "pipeline.py",
-        '"lemmaA": lambda: _suite_lemma_a(k_max, n_max, grid),\n'
-        '        "lemmaB": lambda: _suite_lemma_b(k_max, n_max, grid),',
-        '"lemmaB": lambda: _suite_lemma_a(k_max, n_max, grid),\n'
-        '        "lemmaA": lambda: _suite_lemma_b(k_max, n_max, grid),',
+        '"lemmaA": _suite_lemma_a,\n'
+        '        "lemmaB": _suite_lemma_b,',
+        '"lemmaB": _suite_lemma_a,\n'
+        '        "lemmaA": _suite_lemma_b,',
         ("tests/test_pipeline.py::test_run_suite_sets_each_group_once_in_table_order",),
     ),
     Mutant(
@@ -388,6 +463,16 @@ MUTANTS = (
         'help=f"default {GridSpec().n[1]}"',
         'help=f"default {GridSpec().k[1]}"',
         ("tests/test_cli.py::test_verify_help_names_the_default_bounds",),
+    ),
+    Mutant(
+        "verify-out-lost-on-closed-stdout", "cli.py",
+        "    try:\n"
+        "        print(report.summary())\n"
+        "    finally:\n",
+        "    if True:\n"
+        "        print(report.summary())\n"
+        "    if True:\n",
+        ("tests/test_cli.py::test_verify_writes_the_report_when_stdout_closes",),
     ),
     Mutant(
         "verify-drops-k-max", "cli.py",

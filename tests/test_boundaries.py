@@ -3,7 +3,7 @@ only the package modules pinned here, read from its source with ``ast``.
 The package exports each of its public names exactly once, and the CLI
 loads no standard module that its commands do not use.  Only
 ``run_suite`` names the suite groups, and the source holds no float but
-the report's runtime."""
+the report's runtime, nor does any value a package function returns."""
 
 import ast
 import os
@@ -15,7 +15,7 @@ from types import ModuleType
 import pytest
 
 import lisenum
-from lisenum import pipeline
+from lisenum import cli, pipeline
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 
@@ -216,3 +216,47 @@ def test_no_float_in_the_source():
     assert floats == [(*report, "float"), (*report, 0.0)]
     assert math_names <= EXACT_MATH
     assert clock == [("pipeline", "run_suite", "perf_counter")] * 2
+
+
+def float_path(value, depth=3):
+    """Index path to a float in ``value``, looking into tuples and lists
+    ``depth`` levels deep; None when there is none."""
+    if isinstance(value, float):
+        return ()
+    if depth and isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            path = float_path(item, depth - 1)
+            if path is not None:
+                return (i, *path)
+    return None
+
+
+def test_no_float_is_returned_at_runtime(capsys):
+    # every return (and yield) of a function in the package is inspected;
+    # the one float allowed is VerificationReport.runtime_seconds
+    package = os.path.dirname(lisenum.__file__)
+    flagged = []
+
+    def hook(frame, event, value):
+        code = frame.f_code
+        if event == "return" and os.path.dirname(code.co_filename) == package:
+            path = float_path(value)
+            if path is not None:
+                flagged.append((Path(code.co_filename).stem, code.co_name, path))
+
+    runs = [["count", "--n", str(n), "--k", str(k), "--method", method]
+            for n, k in ((0, 0), (9, 2), (11, 5)) for method in pipeline.COUNT_METHODS]
+    runs += [["table", "--k", "3", "--n-from", "6", "--n-to", "12", "--format", fmt]
+             for fmt in ("md", "csv", "json")]
+    runs += [["enumerate", "--n", "8", "--k", "3"],
+             ["enumerate", "--n", "9", "--k", "4", "--prefix", "2"]]
+    sys.setprofile(hook)
+    try:
+        report = pipeline.run_suite("all")
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert report.ok and codes == [0] * len(runs)
+    runtime = (report._fields.index("runtime_seconds"),)
+    assert flagged == [("pipeline", "run_suite", runtime)]
+    assert capsys.readouterr().err == ""

@@ -344,9 +344,10 @@ def test_verify_convolution_grid_without_nonnegative_x(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in checks if c not in convolution)
 
 
-@pytest.mark.parametrize("k_max, checks", [(None, 270), (1, 265)])
+@pytest.mark.parametrize("k_max, checks", [(None, 270), (1, 195)])
 def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, checks):
-    # a bound left out is the grid's upper bound, for the CLI and the library alike
+    # a bound left out is the grid's upper bound, and a bound given replaces
+    # it for every check, for the CLI and the library alike
     grid = {"k": [0, 2], "n": [0, 8]}
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(grid))
@@ -363,6 +364,33 @@ def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, check
     }
     assert got["checks"] == expected["checks"]
     assert len(got["checks"]) == checks
+
+
+@pytest.mark.parametrize("override, error", [
+    (["--k-max", "2"], "error: empty range for k: [3, 2]\n"),
+    (["--n-max", "8"], "error: empty range for n: [9, 8]\n"),
+])
+def test_verify_bound_below_the_grid_is_a_usage_error(tmp_path, capsys, override, error):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"k": [3, 4], "n": [9, 10]}))
+    assert run_cli(capsys, "verify", "--grid", str(grid_path), *override) == (2, "", error)
+
+
+def test_verify_writes_the_report_when_stdout_closes(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    out_path = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["verify", "--suite", "lemmaC", "--out", str(out_path)])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+    expected = pipeline.run_suite("lemmaC").to_json()["checks"]
+    assert json.loads(out_path.read_text())["checks"] == expected
 
 
 def test_verify_help_names_the_default_bounds(capsys):

@@ -1,6 +1,7 @@
 """Counting routes, tables and the cross-validation engine."""
 
 import json
+import re
 import time
 from math import factorial
 
@@ -356,6 +357,31 @@ def test_run_suite_sets_each_group_once_in_table_order():
         single = run_suite(suite, k_max=1, n_max=3, budget=10**4).checks
         assert single and {c.group for c in single} == {suite}
         assert single == [c for c in checks if c.group == suite]
+
+
+INNER_GRID = GridSpec(k=(3, 4), n=(9, 10))
+
+
+@pytest.mark.parametrize("suite", pipeline.SUITES)
+def test_every_suite_reads_its_cells_from_the_grid(suite):
+    # the grid's lower bounds narrow the matrix and brute-force checks
+    # too; the counts group runs only under "all"
+    cells = [
+        (c.name, key, int(value))
+        for c in run_suite(suite, grid=INNER_GRID).checks
+        for key, value in re.findall(r"\b([kn])=(-?\d+)", c.name)
+    ]
+    assert cells or suite == "dodgson"
+    bounds = {"k": INNER_GRID.k, "n": INNER_GRID.n}
+    assert [(name, key, v) for name, key, v in cells
+            if not bounds[key][0] <= v <= bounds[key][1]] == []
+
+
+def test_k_max_bounds_the_identity_grids_too():
+    report = run_suite("lemmaB", k_max=1, grid=GridSpec(k=(0, 2), n=(0, 8)))
+    assert report.bounds["k_max"] == 1
+    assert [c.name for c in report.checks if re.search(r"\bk=2\b", c.name)] == []
+    assert any(c.name.startswith("ones-entry k=1 ") for c in report.checks)
 
 
 def test_report_json_shape():
