@@ -3,19 +3,17 @@
 Subcommands: count, table, enumerate, verify.  Exit codes are stable
 for CI use: 0 success, 1 verification failure, 2 usage or domain error,
 or running out of memory.
-``enumerate`` reads the blocks of the lazy walk (``oracle._blocks``: a
-head followed by every order of its free values), formats each head
-once and appends the orders of the free values to it.  It writes the
-lines in chunks of exactly ``ENUMERATE_CHUNK``, one string each; only the
-last chunk may be shorter.
+``enumerate`` takes its lines from ``oracle.lines``, which formats each
+head of the lazy walk once, and writes them in chunks of exactly
+``ENUMERATE_CHUNK``, one string each; only the last chunk may be shorter.
+Brute force is refused with ``pipeline.over_budget``'s reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, islice, permutations
-from typing import Iterator
+from itertools import islice
 
 from . import exact, oracle, pipeline
 from .identities import GridSpec
@@ -77,11 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_oracle_budget(n: int, k: int) -> None:
     """Refuse brute force beyond the default candidate budget, before any output."""
     exact.check_size(n, k)
-    if pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):
-        raise ValueError(
-            f"brute force at n={n}, k={k} spans {oracle.candidate_count(n, k)} "
-            f"candidates, more than the budget {pipeline.DEFAULT_BUDGET}"
-        )
+    if why := pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):
+        raise ValueError(f"brute force at n={n}, k={k}: {why}")
 
 
 def _cmd_count(args) -> int:
@@ -97,18 +92,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _block_lines(head: tuple[int, ...], free: tuple[int, ...], sep: str) -> Iterator[str]:
-    """The lines of the block ``(head, free)``, without their newlines:
-    the head is formatted once, each order of ``free`` appended to it."""
-    text = sep.join(map(str, head)) + (sep if free else "")
-    return map(text.__add__, map(sep.join, permutations(map(str, free))))
-
-
 def _cmd_enumerate(args) -> int:
     _check_oracle_budget(args.n, args.k)
-    blocks = oracle._blocks(args.n, args.k, args.prefix)
-    sep, write = oracle._separator(args.n), sys.stdout.write
-    lines = chain.from_iterable(_block_lines(head, free, sep) for head, free in blocks)
+    lines, write = oracle.lines(args.n, args.k, args.prefix), sys.stdout.write
     while chunk := list(islice(lines, ENUMERATE_CHUNK)):
         write("\n".join(chunk) + "\n")
     return 0

@@ -190,13 +190,13 @@ class GridSpec(NamedTuple):
 
     ``k`` and ``n`` bound every per-(k, n) check of ``verify``, the
     matrix and brute-force checks as well as the identity grids; the
-    defaults are verify's default bounds.  Negative ``k`` are dropped,
-    and ``n`` lower bounds are raised per k to the size rule n >= 2k
-    (``sizes``), or to max(2k, k+2) where the identities have poles
-    (``n_values``).  ``r`` and ``b`` values beyond the identity windows
-    are probed and recorded, not asserted.  ``A``/``B`` and ``x`` drive
-    the convolution grid; ``x`` and ``y`` also drive the determinant
-    product grid.
+    defaults are verify's default bounds.  ``run_suite`` refuses an
+    upper ``k`` bound below 0 and drops negative lower ``k``; ``n``
+    lower bounds are raised per k to the size rule n >= 2k (``sizes``),
+    or to max(2k, k+2) where the identities have poles (``n_values``).
+    ``r`` and ``b`` values beyond the identity windows are probed and
+    recorded, not asserted.  ``A``/``B`` and ``x`` drive the convolution
+    grid; ``x`` and ``y`` also drive the determinant product grid.
     """
 
     k: Range = (0, 5)

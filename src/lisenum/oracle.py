@@ -47,8 +47,8 @@ blocks, not members, and never descends below one; a leaf is a block
 with nothing free.  ``permutations(free)`` lists a block lazily and in
 lexicographic order, so members still come one at a time, none held
 back, not even within a root, which can have k! of them.
-``iter_class`` expands the blocks into members; ``enumerate`` in the
-CLI formats each block's head once.  Only listing walks;
+``iter_class`` expands the blocks into members, and ``lines`` into
+their text, formatting each block's head once.  Only listing walks;
 counting memoizes the count below a node on its state word
 (``_count_word``), as in West's generating trees (1996).  Counting
 spells the root words itself (``component_counts``): by the pruning
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, starmap
 from math import comb, factorial
 from operator import le
 from typing import Iterator, Sequence
@@ -215,6 +215,21 @@ def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
     return chain.from_iterable(
         map(head.__add__, permutations(free)) for head, free in _blocks(n, k, prefix)
     )
+
+
+def lines(n: int, k: int, prefix: int | None = None) -> Iterator[str]:
+    """``format_perm`` of each member of ``iter_class(n, k, prefix)``,
+    without newlines, in the same order, as lazily and with the same
+    argument check: each block's head is formatted once, and each order
+    of its free values is appended to it.
+    """
+    blocks, sep = _blocks(n, k, prefix), _separator(n)
+
+    def block_lines(head: Perm, free: Perm) -> Iterator[str]:
+        text = sep.join(map(str, head)) + (sep if free else "")
+        return map(text.__add__, map(sep.join, permutations(map(str, free))))
+
+    return chain.from_iterable(starmap(block_lines, blocks))
 
 
 def component_counts(n: int, k: int) -> list[int]:

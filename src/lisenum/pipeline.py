@@ -473,9 +473,11 @@ def run_suite(
     k_max = grid.k[1] if k_max is None else k_max
     n_max = grid.n[1] if n_max is None else n_max
     if k_max < 0:
-        raise ValueError(f"k-max must be nonnegative, got {k_max}")
+        raise ValueError("k upper bound (--k-max or the grid's k) must be nonnegative, "
+                         f"got {k_max}")
     if n_max < 2 * k_max:
-        raise ValueError(f"n-max must be at least 2*k-max: n_max={n_max}, k_max={k_max}")
+        raise ValueError("n upper bound (--n-max or the grid's n) must be at least twice "
+                         f"the k upper bound: n_max={n_max}, k_max={k_max}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     upper = GridSpec.from_dict({"k": [grid.k[0], k_max], "n": [grid.n[0], n_max]})

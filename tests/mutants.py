@@ -1,9 +1,9 @@
 """Mutation check, run by hand: ``python tests/mutants.py [NAME ...]``.
 
 Each mutant is an exact text replacement in one file of ``src/lisenum``
-together with the tests that should kill it.  The script copies ``src/``
-and ``tests/`` into a temporary directory (several tests find ``src/``
-next to their own file), runs every named test there once unmutated,
+together with the tests that should kill it.  The script copies ``src/``,
+``tests/`` and ``demos/`` into a temporary directory (several tests find
+``src/`` and ``demos/`` next to their own file), runs every named test there once unmutated,
 then applies one mutant at a time and runs its tests in a child pytest
 with the copy first on ``PYTHONPATH``.  A mutant is killed when one of
 its tests fails (or the child runs past ``TIMEOUT_S``) and survives when
@@ -87,9 +87,29 @@ MUTANTS = (
     ),
     Mutant(
         "iter-class-drops-prefix", "oracle.py",
-        "for head, free in _blocks(n, k, prefix)",
-        "for head, free in _blocks(n, k)",
+        "permutations(free)) for head, free in _blocks(n, k, prefix)",
+        "permutations(free)) for head, free in _blocks(n, k)",
         ("tests/test_oracle.py::test_enumerate_with_prefix",),
+    ),
+    # route 2's listing text: one head per block, arguments checked on the call
+    Mutant(
+        "enumerate-trailing-separator", "oracle.py",
+        'text = sep.join(map(str, head)) + (sep if free else "")',
+        "text = sep.join(map(str, head)) + sep",
+        ("tests/test_cli.py::test_enumerate_prints_format_perm_lines",),
+    ),
+    Mutant(
+        "lines-check-when-read", "oracle.py",
+        "    return chain.from_iterable(starmap(block_lines, blocks))\n",
+        "    yield from chain.from_iterable(starmap(block_lines, blocks))\n",
+        ("tests/test_oracle.py::test_lines_check_the_prefix_when_called",),
+    ),
+    # the package API: __all__ is every public name the imports bind
+    Mutant(
+        "all-keeps-modules", "__init__.py",
+        'if not name.startswith("_") and not isinstance(value, _ModuleType)',
+        'if not name.startswith("_")',
+        ("tests/test_boundaries.py::test_all_names_each_public_attribute_once",),
     ),
     # route 2's counting: live-root words and the memoized count below them
     Mutant(
@@ -246,6 +266,12 @@ MUTANTS = (
         ("tests/test_boundaries.py::test_no_float_is_returned_at_runtime",),
     ),
     # pipeline: run_suite resolves one grid, and every suite reads its cells from it
+    Mutant(
+        "run-suite-k-bound-from-grid", "pipeline.py",
+        "    if k_max < 0:\n",
+        "    if grid.k[1] < 0:\n",
+        ("tests/test_pipeline.py::test_run_suite_validation",),
+    ),
     Mutant(
         "run-suite-ignores-grid-bound", "pipeline.py",
         "grid = grid or GridSpec()",
@@ -430,27 +456,26 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_failure_paths.py::test_matrix_product_collapse_wrong",),
     ),
-    # cli: listing's separators and chunks, the budget it asks, verify's bounds
+    # cli: listing's chunks, the budget it asks and its reason, verify's bounds
     Mutant(
-        "enumerate-trailing-separator", "cli.py",
-        'text = sep.join(map(str, head)) + (sep if free else "")',
-        "text = sep.join(map(str, head)) + sep",
-        ("tests/test_cli.py::test_enumerate_prints_format_perm_lines",),
-    ),
-    Mutant(
-        "enumerate-write-per-block", "cli.py",
-        "    lines = chain.from_iterable(_block_lines(head, free, sep) for head, free in blocks)\n"
+        "enumerate-write-per-line", "cli.py",
         "    while chunk := list(islice(lines, ENUMERATE_CHUNK)):\n"
         '        write("\\n".join(chunk) + "\\n")\n',
-        "    for head, free in blocks:\n"
-        '        write("\\n".join(_block_lines(head, free, sep)) + "\\n")\n',
+        "    for line in lines:\n"
+        '        write(line + "\\n")\n',
         ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
     ),
     Mutant(
         "oracle-budget-fixed", "cli.py",
-        "if pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):",
-        "if pipeline.over_budget(n, k, 10**6):",
+        "if why := pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):",
+        "if why := pipeline.over_budget(n, k, 10**6):",
         ("tests/test_cli.py::test_brute_force_budget_is_inclusive",),
+    ),
+    Mutant(
+        "refusal-drops-why", "cli.py",
+        'raise ValueError(f"brute force at n={n}, k={k}: {why}")',
+        'raise ValueError(f"brute force at n={n}, k={k}")',
+        ("tests/test_cli.py::test_brute_force_over_budget_exits_2",),
     ),
     Mutant(
         "verify-budget-default-fixed", "cli.py",
@@ -522,7 +547,7 @@ def main(names: list[str]) -> int:
             return 2
     with tempfile.TemporaryDirectory(prefix="lisenum-mutants-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         every = tuple(dict.fromkeys(t for m in chosen for t in m.tests))

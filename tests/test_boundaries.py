@@ -1,12 +1,14 @@
 """The routes share no code beyond ``exact``: each route module may import
 only the package modules pinned here, read from its source with ``ast``.
-The package exports each of its public names exactly once, and the CLI
-loads no standard module that its commands do not use.  Only
-``run_suite`` names the suite groups, and the source holds no float but
-the report's runtime, nor does any value a package function returns."""
+No module reads a sibling's private names.  The package exports each of
+its public names exactly once, and the CLI loads no standard module that
+its commands do not use.  Only ``run_suite`` names the suite groups, and
+the source holds no float but the report's runtime, nor does any value a
+package function returns."""
 
 import ast
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from types import ModuleType
 import pytest
 
 import lisenum
-from lisenum import cli, pipeline
+from lisenum import GridSpec, cli, pipeline
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 
@@ -77,6 +79,21 @@ def test_each_sibling_is_bound_one_way(module):
     # calls go through the other
     as_module, by_name = import_forms(module)
     assert not as_module & by_name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_a_private_name_of_a_sibling(module):
+    # a sibling's underscore names are its own to change: neither read as
+    # an attribute of the module nor imported by name
+    as_module = import_forms(module)[0]
+    private = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in as_module and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert not private
 
 
 def reaches(module: str) -> dict[str, set[str]]:
@@ -231,9 +248,19 @@ def float_path(value, depth=3):
     return None
 
 
+# holds every cell of the default run; x reaches below 0, where the
+# determinant product grid reads it
+WIDE_GRID = GridSpec.from_dict({
+    "k": [0, 6], "n": [-3, 22], "r": [-4, 9], "b": [-2, 8],
+    "x": [-6, 12], "y": [-2, 7], "A": [-12, 12], "B": [-12, 12],
+})
+DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+
+
 def test_no_float_is_returned_at_runtime(capsys):
-    # every return (and yield) of a function in the package is inspected;
-    # the one float allowed is VerificationReport.runtime_seconds
+    # every return (and yield) of a function in the package is inspected
+    # over verify on the wide grid, the CLI commands and every demo; the
+    # one float allowed is VerificationReport.runtime_seconds
     package = os.path.dirname(lisenum.__file__)
     flagged = []
 
@@ -252,11 +279,13 @@ def test_no_float_is_returned_at_runtime(capsys):
              ["enumerate", "--n", "9", "--k", "4", "--prefix", "2"]]
     sys.setprofile(hook)
     try:
-        report = pipeline.run_suite("all")
+        report = pipeline.run_suite("all", grid=WIDE_GRID)
         codes = [cli.main(argv) for argv in runs]
+        for demo in DEMOS:
+            runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    assert report.ok and codes == [0] * len(runs)
+    assert report.ok and codes == [0] * len(runs) and DEMOS
     runtime = (report._fields.index("runtime_seconds"),)
     assert flagged == [("pipeline", "run_suite", runtime)]
     assert capsys.readouterr().err == ""

@@ -167,8 +167,9 @@ def test_enumerate_prints_format_perm_lines(capsys, n, k, prefix):
     argv = ["enumerate", "--n", str(n), "--k", str(k)]
     if prefix is not None:
         argv += ["--prefix", str(prefix)]
-    lines = "".join(oracle.format_perm(mu) + "\n" for mu in oracle.iter_class(n, k, prefix))
-    assert run_cli(capsys, *argv) == (0, lines, "")
+    members = [oracle.format_perm(mu) for mu in oracle.iter_class(n, k, prefix)]
+    assert list(oracle.lines(n, k, prefix)) == members
+    assert run_cli(capsys, *argv) == (0, "".join(line + "\n" for line in members), "")
 
 
 # sha256 of `enumerate --n 11 --k 5`: 24,694 lines, several chunks
@@ -218,8 +219,7 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
-        "error: brute force at n=20, k=10 spans 670442572800 candidates, "
-        "more than the budget 1000000\n"
+        "error: brute force at n=20, k=10: 670442572800 candidates exceeds budget 1000000\n"
     )
 
 

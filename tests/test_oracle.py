@@ -223,6 +223,12 @@ def test_enumerate_with_prefix():
         iter_class(4, 2, 5)
 
 
+def test_lines_check_the_prefix_when_called():
+    # before any line is asked for, as iter_class does
+    with pytest.raises(ValueError, match="^prefix must lie in 1..4, got 5$"):
+        oracle.lines(4, 2, 5)
+
+
 def test_emptiness_beyond_prefix_bound():
     for n, k in ((4, 2), (5, 2), (6, 3), (7, 2)):
         for i in range(k + 2, n + 1):

@@ -338,9 +338,14 @@ def test_run_suite_validation():
     with pytest.raises(ValueError):
         run_suite("all", k_max=3, n_max=4)
     # bounds taken from a grid are validated like given ones
-    with pytest.raises(ValueError, match="^n-max must be at least 2\\*k-max: n_max=8, k_max=5$"):
+    with pytest.raises(ValueError, match=(
+        r"^n upper bound \(--n-max or the grid's n\) must be at least twice the k upper bound: "
+        r"n_max=8, k_max=5$"
+    )):
         run_suite("all", grid=GridSpec.from_dict({"k": [0, 5], "n": [0, 8]}))
-    with pytest.raises(ValueError, match="^k-max must be nonnegative, got -1$"):
+    with pytest.raises(
+        ValueError, match=r"^k upper bound \(--k-max or the grid's k\) must be nonnegative, got -1$"
+    ):
         run_suite("all", k_max=-1, grid=GridSpec.from_dict({"k": [0, 2], "n": [0, 8]}))
     with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
         run_suite("all", budget=-1)
