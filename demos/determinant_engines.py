@@ -5,7 +5,9 @@ solves against them stay integral: the component counts literally are
 column-replacement determinants (route 4).  Route 3 solves the same
 kind of system with one fraction-free elimination instead.  Bareiss
 elimination is the reference engine; Dodgson condensation is the
-independent second opinion.  It condenses the matrix plus c times the
+independent second opinion.  Condensation divides by interior
+contiguous minors.  While none is 0 it condenses the matrix itself; at
+the first zero divisor it restarts on the matrix plus c times the
 Pascal matrix, whose interior minors are never 0, and reads the
 determinant off modulo c.
 """
@@ -36,9 +38,28 @@ print("  initial vector:", list(initial_vector(2)))
 for label, solve in (("elimination", solve_bareiss), ("cramer", solve_cramer)):
     print(f"  {label:>11} solve ->", [int(x) for x in solve(kernel_matrix(2), initial_vector(2))])
 
-print("\nCondensation needs interior entries to be nonzero; the all-ones")
-print("matrix has none, so condensation runs on it shifted by a Pascal multiple:")
+
+def interior_minors(m: Matrix, size: int) -> list:
+    """The size x size contiguous minors off the border: the divisors of
+    condensation stage size + 2."""
+    inner = range(1, m.rows - size)
+    return [det_bareiss(Matrix([row[j:j + size] for row in m.entries[i:i + size]]))
+            for i in inner for j in inner]
+
+
+print("\nCondensation divides by the interior contiguous minors.  None of")
+print("component_matrix(5, 15)'s is 0, so it condenses the matrix itself:")
+q = component_matrix(5, 15)
+for size in range(1, q.rows - 1):
+    print(f"  smallest |{size}x{size} interior minor| = "
+          f"{min(abs(d) for d in interior_minors(q, size))}")
+print(f"  det (dodgson, unshifted) = {det_dodgson(q)}")
+
+print("\nThe all-ones matrix has nonzero interior entries, but its 2x2 minors")
+print("vanish, so the zero divisor comes at stage 4 and condensation restarts")
+print("on the matrix shifted by a Pascal multiple:")
 ones = Matrix([[1] * 4 for _ in range(4)])
+print(f"  2x2 interior minors = {[int(d) for d in interior_minors(ones, 2)]}")
 print(f"  det (dodgson, shifted) = {det_dodgson(ones)}")
 
 print("\nThe parameterized binomial determinant and its closed product form:")

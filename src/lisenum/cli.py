@@ -116,8 +116,7 @@ def _cmd_verify(args) -> int:
     finally:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                report.write_json(handle)
     return 0 if report.ok else 1
 
 

@@ -23,9 +23,12 @@ Determinants come from two independent engines, fraction-free Bareiss
 elimination and Dodgson condensation, which share no code and are
 cross-checked against each other throughout the test suite.  Both clear
 denominators once (``exact.integer_rows``), run on integers with exact
-divisions and return a ``Fraction``; condensation runs on the rows
-shifted by an integer multiple of the Pascal matrix, so it never meets
-a zero divisor.  Two solvers share no code:
+divisions and return a ``Fraction``.  Condensation runs on the integer
+rows themselves until a divisor is 0, which no kernel or component
+matrix tried has; a matrix with a zero interior entry, or one that
+meets a zero divisor later, is condensed shifted by an integer multiple
+of the Pascal matrix instead, where no divisor is 0.  Two solvers share
+no code:
 ``solve_bareiss`` (one fraction-free elimination of the augmented
 system, then integer back substitution with one ``Fraction`` per
 unknown, exact by Cramer's rule; O(k^3)) is route 3's kernel solve, and
@@ -194,48 +197,74 @@ def det_bareiss(a: Matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
+def _condense(curr: list[list[int]]) -> int | None:
+    """The last stage of Dodgson condensation of the square integer rows
+    ``curr``, or ``None`` at the first zero divisor.
+
+    Stage s holds an (n-s+1) x (n-s+1) array; stage s+1 has entry
+    (curr[i][j] * curr[i+1][j+1] - curr[i][j+1] * curr[i+1][j]) / d with d
+    the interior entry (i+1, j+1) of stage s-1 (all 1 before stage 2).
+    ``exact_div`` raises if a division leaves a remainder.
+    """
+    n = len(curr)
+    prev = [[1] * (n + 1) for _ in range(n + 1)]
+    for width in range(n - 1, 0, -1):
+        nxt: list[list[int]] = []
+        for i in range(width):
+            up, down, divisors = curr[i], curr[i + 1], prev[i + 1]
+            out_row: list[int] = []
+            for j in range(width):
+                d = divisors[j + 1]
+                if not d:
+                    return None
+                out_row.append(exact_div(up[j] * down[j + 1] - up[j + 1] * down[j], d))
+            nxt.append(out_row)
+        prev, curr = curr, nxt
+    return curr[0][0]
+
+
 def det_dodgson(a: Matrix) -> Fraction:
-    """Determinant by Dodgson condensation on the integer rows.
+    """Determinant by Dodgson condensation on the integer rows m.
 
     Stage s holds every contiguous s x s minor; the condensation step
-    divides by the interior entries of the stage two sizes down.  Each
-    entry is a minor (Desnanot-Jacobi), so every division is exact and
-    ``exact_div`` raises if one is not.
+    divides by the interior entries of the stage two sizes down.  Both
+    paths below run the one loop ``_condense``.
 
-    No divisor is ever 0, because the condensation runs on m + cP rather
-    than on the integer rows m: P is the Pascal matrix binomial(i+j, i)
-    (0-based), h the product over rows of sum_j (|m_ij| + P_ij), and
-    c = 2h + 1.  Every contiguous minor of m + tP is a polynomial in t
-    whose leading coefficient is a minor of P, at least 1 since P is
-    totally positive (Karlin 1968), and whose every coefficient is at
-    most h in size: it is bounded by the permanent of |m| + P, which is
-    at most the product of the row sums.  So c lies above every root and
-    no minor vanishes at t = c.  Finally det(m + cP) = det m (mod c) and
-    |det m| <= h, so det m is the balanced residue (det(m + cP) + h) % c - h.
+    Unshifted: m itself is condensed first, unless an interior entry of
+    m is 0; such an entry is a divisor of stage 3, so that matrix goes
+    straight to the shifted path.  By the Desnanot-Jacobi identity each
+    s x s contiguous minor M satisfies M * D = A * B - C * E, with A, B,
+    C, E its four (s-1) x (s-1) corner minors and D its (s-2) x (s-2)
+    interior minor.  So, by induction on s, while every divisor met is
+    nonzero each entry of stage s is that minor, each division is exact
+    (its quotient is an integer minor), and the one entry of stage n is
+    det m.  At the first zero divisor the condensation stops and
+    restarts on the shifted rows.
+
+    Shifted: the condensation runs on m + cP rather than on m, where no
+    divisor is 0: P is the Pascal matrix binomial(i+j, i) (0-based), h
+    the product over rows of sum_j (|m_ij| + P_ij), and c = 2h + 1.
+    Every contiguous minor of m + tP is a polynomial in t whose leading
+    coefficient is a minor of P, at least 1 since P is totally positive
+    (Karlin 1968), and whose every coefficient is at most h in size: it
+    is bounded by the permanent of |m| + P, which is at most the product
+    of the row sums.  So c lies above every root and no minor vanishes at
+    t = c.  Finally det(m + cP) = det m (mod c) and |det m| <= h, so
+    det m is the balanced residue (det(m + cP) + h) % c - h.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     m, scale = integer_rows(a.entries)
+    if all(all(row[1:n - 1]) for row in m[1:n - 1]):
+        det = _condense(m)
+        if det is not None:
+            return Fraction(det, scale)
     pascal = [[math.comb(i + j, i) for j in range(n)] for i in range(n)]
     h = math.prod(sum(map(abs, row)) + sum(p_row) for row, p_row in zip(m, pascal))
     c = 2 * h + 1
-    prev = [[1] * (n + 1) for _ in range(n + 1)]
-    curr = [[x + c * p for x, p in zip(row, p_row)] for row, p_row in zip(m, pascal)]
-    for size in range(2, n + 1):
-        width = n - size + 1
-        nxt: list[list[int]] = []
-        for i in range(width):
-            out_row: list[int] = []
-            for j in range(width):
-                numerator = (
-                    curr[i][j] * curr[i + 1][j + 1]
-                    - curr[i][j + 1] * curr[i + 1][j]
-                )
-                out_row.append(exact_div(numerator, prev[i + 1][j + 1]))
-            nxt.append(out_row)
-        prev, curr = curr, nxt
-    return Fraction((curr[0][0] + h) % c - h, scale)
+    det = _condense([[x + c * p for x, p in zip(row, p_row)] for row, p_row in zip(m, pascal)])
+    return Fraction((det + h) % c - h, scale)
 
 
 def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:

@@ -426,7 +426,7 @@ def _suite_bijection(grid: GridSpec, budget: int) -> list[CheckResult]:
 
 def random_integer_matrix(rng: random.Random, dim: int, plant_zero: bool) -> Matrix:
     """Uniform entries in [-9, 9]; optionally force one interior zero, so
-    condensation meets the zero interiors its shift has to cover."""
+    condensation takes its shifted path."""
     rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
     if plant_zero and dim >= 3:
         rows[rng.randint(1, dim - 2)][rng.randint(1, dim - 2)] = 0

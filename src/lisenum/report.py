@@ -101,6 +101,28 @@ class VerificationReport(NamedTuple):
             "checks": [c.as_dict() for c in self.checks],
         }
 
+    def write_json(self, handle) -> None:
+        """Write ``json.dump(self.to_json(), handle, indent=2,
+        sort_keys=True)`` and a newline, byte for byte, one check at a
+        time.  With an indent, ``json`` falls back to its pure-Python
+        encoder; here each check's strings (every value ``as_dict`` gives
+        is one) go through its C escaper, and no whole-document string is
+        built.  Only the few other fields go through ``json.dumps``."""
+        import json
+        from json.encoder import encode_basestring_ascii as quote
+
+        fields, write = self.to_json(), handle.write
+        for index, key in enumerate(sorted(fields)):
+            write(("," if index else "{") + "\n  " + quote(key) + ": ")
+            if key != "checks":
+                write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+                continue
+            for i, check in enumerate(fields[key]):
+                items = [f"{quote(k)}: {quote(v)}" for k, v in sorted(check.items())]
+                write(("," if i else "[") + "\n    {\n      " + ",\n      ".join(items) + "\n    }")
+            write("\n  ]" if fields[key] else "[]")
+        write("\n}\n")
+
     def summary(self) -> str:
         """Human-readable digest.  Deliberately free of timing information
         so that identical invocations print identical bytes."""

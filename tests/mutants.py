@@ -200,6 +200,27 @@ MUTANTS = (
         "c = h + 1",
         ("tests/test_matrices.py::test_engines_match_leibniz_on_random_integer_matrices",),
     ),
+    # Dodgson's paths: unshifted first, restart at a zero divisor, planted
+    # zeros straight to the shift
+    Mutant(
+        "dodgson-unshifted-drops-scale", "matrices.py",
+        "            return Fraction(det, scale)\n",
+        "            return Fraction(det)\n",
+        ("tests/test_matrices.py::test_engines_match_leibniz_on_random_rational_matrices",),
+    ),
+    Mutant(
+        "dodgson-no-zero-divisor-check", "matrices.py",
+        "                if not d:\n"
+        "                    return None\n",
+        "",
+        ("tests/test_matrices.py::test_dodgson_restarts_at_a_zero_minor",),
+    ),
+    Mutant(
+        "dodgson-planted-zero-unshifted", "matrices.py",
+        "if all(all(row[1:n - 1]) for row in m[1:n - 1]):",
+        "if True:",
+        ("tests/test_matrices.py::test_dodgson_planted_zero_goes_straight_to_the_shift",),
+    ),
     # identities: the sign exponent must stay an int for r <= -k-2
     Mutant(
         "poles-parity-unreduced", "identities.py",
@@ -455,6 +476,19 @@ MUTANTS = (
         "        if got != want:\n",
         "        if False:\n",
         ("tests/test_failure_paths.py::test_matrix_product_collapse_wrong",),
+    ),
+    # report: the streamed report file escapes as json does, and closes an empty list
+    Mutant(
+        "report-writer-keeps-non-ascii", "report.py",
+        "from json.encoder import encode_basestring_ascii as quote",
+        "from json.encoder import encode_basestring as quote",
+        ("tests/test_cli.py::test_report_writer_escapes_as_json_does",),
+    ),
+    Mutant(
+        "report-writer-opens-empty-checks", "report.py",
+        'write("\\n  ]" if fields[key] else "[]")',
+        'write("[\\n\\n  ]" if not fields[key] else "\\n  ]")',
+        ("tests/test_cli.py::test_verify_report_file_is_the_indented_dump",),
     ),
     # cli: listing's chunks, the budget it asks and its reason, verify's bounds
     Mutant(

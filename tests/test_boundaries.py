@@ -121,8 +121,10 @@ def reaches(module: str) -> dict[str, set[str]]:
 # README: route 3's solver shares no elimination code with route 4, and
 # the two determinant engines share no code.
 SHARE_NO_CODE = {
-    "solve_bareiss": {"det_bareiss", "_bareiss_step", "solve_cramer", "det_dodgson"},
+    "solve_bareiss": {"det_bareiss", "_bareiss_step", "solve_cramer", "det_dodgson", "_condense"},
     "det_dodgson": {"det_bareiss", "_bareiss_step", "solve_bareiss", "solve_cramer"},
+    "det_bareiss": {"det_dodgson", "_condense"},
+    "solve_cramer": {"det_dodgson", "_condense", "solve_bareiss"},
 }
 
 
@@ -135,6 +137,7 @@ def test_the_scan_follows_calls():
     found = reaches("matrices")
     assert found["solve_cramer"] >= {"det_bareiss", "_bareiss_step", "SingularMatrixError"}
     assert "_bareiss_step" in found["det_bareiss"]
+    assert "_condense" in found["det_dodgson"]
 
 
 def test_all_names_each_public_attribute_once():

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lisenum import GridSpec, cli, oracle, pipeline
+from lisenum import CheckResult, GridSpec, VerificationReport, cli, oracle, pipeline
 from lisenum.cli import main
 
 
@@ -391,6 +391,44 @@ def test_verify_writes_the_report_when_stdout_closes(tmp_path, capsys, monkeypat
     assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
     expected = pipeline.run_suite("lemmaC").to_json()["checks"]
     assert json.loads(out_path.read_text())["checks"] == expected
+
+
+def indented_dump(report) -> bytes:
+    return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv, grid", [
+    ([], None),
+    # the bijection is capped at n <= 9, so this grid leaves no check
+    (["--suite", "bijection"], {"n": [10, 20]}),
+])
+def test_verify_report_file_is_the_indented_dump(tmp_path, capsys, monkeypatch, argv, grid):
+    reports, real = [], pipeline.run_suite
+
+    def keep(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "run_suite", keep)
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        argv = [*argv, "--grid", str(tmp_path / "grid.json")]
+    out_path = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", *argv, "--out", str(out_path))[0] == 0
+    assert out_path.read_bytes() == indented_dump(reports[0])
+    assert bool(reports[0].checks) == (grid is None)
+
+
+def test_report_writer_escapes_as_json_does(tmp_path):
+    witness = 'quote " backslash \\ newline \n tab \t e-acute \u00e9 clef \U0001d11e'
+    report = VerificationReport("lemmaA", {"k_max": 1, "n_max": 2, "budget": 3}, [
+        CheckResult('name "quoted"', "fail", witness, "lemmaA"),
+        CheckResult("plain", "pass"),
+    ], 0.25)
+    out_path = tmp_path / "report.json"
+    with open(out_path, "w", encoding="utf-8") as handle:
+        report.write_json(handle)
+    assert out_path.read_bytes() == indented_dump(report)
 
 
 def test_verify_help_names_the_default_bounds(capsys):

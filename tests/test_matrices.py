@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -276,6 +277,52 @@ def test_dodgson_zero_interiors():
     rng = random.Random(1212)
     m = Matrix([[rng.choice((0, rng.randint(-9, 9))) for _ in range(12)] for _ in range(12)])
     assert det_dodgson(m) == det_bareiss(m) != 0
+
+
+def spy_condense(monkeypatch) -> list:
+    """Record each ``(rows, result)`` that ``det_dodgson`` condenses."""
+    calls, real = [], matrices._condense
+
+    def spy(rows):
+        calls.append(([list(row) for row in rows], real(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(matrices, "_condense", spy)
+    return calls
+
+
+def test_dodgson_condenses_structured_matrices_unshifted(monkeypatch):
+    calls = spy_condense(monkeypatch)
+    for m in (kernel_matrix(5), component_matrix(8, 40), component_matrix(12, 100)):
+        calls.clear()
+        assert det_dodgson(m) == 1
+        assert calls == [([list(row) for row in m.entries], 1)]
+
+
+def test_dodgson_restarts_at_a_zero_minor(monkeypatch):
+    # every interior entry is 1, but every 2 x 2 minor vanishes, so the
+    # zero divisor comes at stage 4 and the shifted rows are condensed
+    calls = spy_condense(monkeypatch)
+    assert det_dodgson(Matrix([[1] * 4 for _ in range(4)])) == 0
+    assert calls[0] == ([[1] * 4] * 4, None)
+    assert len(calls) == 2 and calls[1][1] is not None
+
+
+def test_dodgson_planted_zero_goes_straight_to_the_shift(monkeypatch):
+    calls = spy_condense(monkeypatch)
+    rows = [[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]]
+    m = Matrix(rows)
+    assert det_dodgson(m) == det_leibniz(m) == 45
+    assert len(calls) == 1 and calls[0][0] != rows and calls[0][1] is not None
+
+
+def test_dodgson_cost_stays_near_bareiss():
+    # the shifted path alone takes about 1.2 s on a 2-vCPU host: its
+    # shift is 561 digits long against 28 for an entry
+    m = component_matrix(20, 200)
+    start = time.perf_counter()
+    assert det_dodgson(m) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bareiss_needs_row_pivoting():
