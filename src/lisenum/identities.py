@@ -17,12 +17,14 @@ combinations so the suites can assert they vanish.  Grid points where a
 referenced value is undefined are skipped and logged, never silently
 dropped or asserted.
 
-A grid run evaluates each defined value once: the runner memoizes the
-sum as the module binds it when the run starts, and its residuals read
-that memo.  The memo belongs to the call and ends with it, so nothing
+A grid run evaluates each referenced point once, a refused one too: the
+runner memoizes the sum as the module binds it when the run starts,
+values and ``ValueError`` refusals alike, and its residuals read that
+memo.  The memo belongs to the call and ends with it, so nothing
 outlives a run and a patched sum is seen by the next one.  The
 convolution runner likewise builds each binomial column once per
-parameter value.
+parameter value, and compares each point's sum with its closed form
+without building a record unless the point fails.
 
 Every sum over j = 1..k+1 of weight(j)/(n-j) is built from integer
 weights as one Fraction over the denominator prod (n-j), with each sign
@@ -32,12 +34,12 @@ exponents included.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .exact import binomial
-from .report import PASS, CheckResult, expect, expect_within, failed, passed, skipped
+from .report import CheckResult, expect, expect_within, failed, passed, skipped
 
 Range = tuple[int, int]
 
@@ -66,11 +68,16 @@ def _column(a: int, x_hi: int) -> list[int]:
     return [binomial(y + a, y) for y in range(x_hi + 1)]
 
 
+def _convolution_sum(x: int, col_a: list[int], col_b: list[int]) -> int:
+    """sum_{y=0..x} col_a[y] col_b[x-y], for columns reaching at least
+    y = x."""
+    return sum(map(mul, col_a[:x + 1], col_b[x::-1]))
+
+
 def _convolution(a: int, b: int, x: int, col_a: list[int], col_b: list[int]) -> CheckResult:
     """The convolution check at x from the columns of a and b, each
     reaching at least y = x."""
-    lhs = sum(col_a[y] * col_b[x - y] for y in range(x + 1))
-    rhs = binomial(a + b + x + 1, x)
+    lhs, rhs = _convolution_sum(x, col_a, col_b), binomial(a + b + x + 1, x)
     return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lhs={got} rhs={want}")
 
 
@@ -177,7 +184,7 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
     lhs = _sum_over_poles(k, n, lambda j: (
         (-1) ** ((j - 1) % 2) * binomial(k, j - 1) * binomial(j, b)
     ))
-    rhs = Fraction((-1) ** k, n - 1) * Fraction(binomial(n, b), binomial(n - 2, k))
+    rhs = Fraction((-1) ** k * binomial(n, b), (n - 1) * binomial(n - 2, k))
     return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lhs={got} rhs={want}")
 
 
@@ -241,8 +248,10 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
     """Convolution identity over the (A, B, x) box, one result per (A, B).
 
     Each A and each B value gets its column binomial(y+a, y), y <= x_hi,
-    once.  A box with no x >= 0 evaluates nothing, so each (A, B) result
-    is then skipped."""
+    once.  Each x compares the sum with binomial(a+b+x+1, x), and only
+    the first failing x builds its check, for the witness.  A box with
+    no x >= 0 evaluates nothing, so each (A, B) result is then
+    skipped."""
     results = []
     x_lo, x_hi = max(spec.x[0], 0), spec.x[1]
     cols_b = {b: _column(b, x_hi) for b in range(spec.B[0], spec.B[1] + 1)}
@@ -253,16 +262,39 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
             if x_hi < x_lo:
                 results.append(skipped(name, f"x range {spec.x[0]}..{spec.x[1]} holds no x >= 0"))
                 continue
-            points = (_convolution(a, b, x, col_a, col_b) for x in range(x_lo, x_hi + 1))
-            bad = next((point for point in points if point.status != PASS), None)
-            results.append(passed(name) if bad is None else failed(name, bad.witness))
+            bad = next((x for x in range(x_lo, x_hi + 1)
+                        if _convolution_sum(x, col_a, col_b) != binomial(a + b + x + 1, x)), None)
+            results.append(passed(name) if bad is None
+                           else failed(name, _convolution(a, b, bad, col_a, col_b).witness))
     return results
+
+
+def _memo(f: Callable[[int, int, int], Fraction]) -> Callable[[int, int, int], Fraction]:
+    """``f`` memoized for one grid run: each point's value, or the
+    ``ValueError`` that refuses it, is computed once.  (``functools.cache``
+    keeps no raised error, so it would evaluate a refused point again at
+    each reference.)"""
+    values: dict = {}
+
+    def memo(*point: int) -> Fraction:
+        value = values.get(point, values)
+        if value is values:
+            try:
+                value = f(*point)
+            except ValueError as exc:
+                value = exc
+            values[point] = value
+        if isinstance(value, ValueError):
+            raise value.with_traceback(None)
+        return value
+
+    return memo
 
 
 def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
     """Unit values and recurrence residuals for ones_product_entry, each
-    value evaluated once per call."""
-    f = functools.cache(ones_product_entry)
+    point evaluated once per call."""
+    f = _memo(ones_product_entry)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):
@@ -288,8 +320,8 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
 
 def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
     """Unit values, two-sided form and residuals for binomial_moment_sum,
-    each value evaluated once per call."""
-    g = functools.cache(binomial_moment_sum)
+    each point evaluated once per call."""
+    g = _memo(binomial_moment_sum)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):

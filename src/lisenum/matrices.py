@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .exact import binomial, check_size, exact_div, integer_rows
@@ -204,7 +205,7 @@ def _condense(curr: list[list[int]]) -> int | None:
     Stage s holds an (n-s+1) x (n-s+1) array; stage s+1 has entry
     (curr[i][j] * curr[i+1][j+1] - curr[i][j+1] * curr[i+1][j]) / d with d
     the interior entry (i+1, j+1) of stage s-1 (all 1 before stage 2).
-    ``exact_div`` raises if a division leaves a remainder.
+    A division that leaves a remainder raises, through ``exact_div``.
     """
     n = len(curr)
     prev = [[1] * (n + 1) for _ in range(n + 1)]
@@ -217,7 +218,11 @@ def _condense(curr: list[list[int]]) -> int | None:
                 d = divisors[j + 1]
                 if not d:
                     return None
-                out_row.append(exact_div(up[j] * down[j + 1] - up[j + 1] * down[j], d))
+                num = up[j] * down[j + 1] - up[j + 1] * down[j]
+                q, r = divmod(num, d)
+                if r:
+                    exact_div(num, d)  # raises the inexact-division error
+                out_row.append(q)
             nxt.append(out_row)
         prev, curr = curr, nxt
     return curr[0][0]
@@ -260,7 +265,11 @@ def det_dodgson(a: Matrix) -> Fraction:
         det = _condense(m)
         if det is not None:
             return Fraction(det, scale)
-    pascal = [[math.comb(i + j, i) for j in range(n)] for i in range(n)]
+    # row i of P holds the running sums of row i-1:
+    # C(i+j, i) = sum_{t<=j} C(i-1+t, i-1)
+    pascal = [[1] * n]
+    for _ in range(n - 1):
+        pascal.append(list(accumulate(pascal[-1])))
     h = math.prod(sum(map(abs, row)) + sum(p_row) for row, p_row in zip(m, pascal))
     c = 2 * h + 1
     det = _condense([[x + c * p for x, p in zip(row, p_row)] for row, p_row in zip(m, pascal)])

@@ -105,23 +105,31 @@ class VerificationReport(NamedTuple):
         """Write ``json.dump(self.to_json(), handle, indent=2,
         sort_keys=True)`` and a newline, byte for byte, one check at a
         time.  With an indent, ``json`` falls back to its pure-Python
-        encoder; here each check's strings (every value ``as_dict`` gives
-        is one) go through its C escaper, and no whole-document string is
-        built.  Only the few other fields go through ``json.dumps``."""
+        encoder; here each check is written straight from its fields with
+        one template, since its keys ``group``, ``name``, ``status`` and
+        ``witness`` (when set) are already in sorted order.  Its strings
+        go through ``json``'s C escaper, and no per-check dict and no
+        whole-document string is built.  Only the few other fields go
+        through ``json.dumps``."""
         import json
         from json.encoder import encode_basestring_ascii as quote
 
-        fields, write = self.to_json(), handle.write
-        for index, key in enumerate(sorted(fields)):
-            write(("," if index else "{") + "\n  " + quote(key) + ": ")
-            if key != "checks":
-                write(json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  "))
-                continue
-            for i, check in enumerate(fields[key]):
-                items = [f"{quote(k)}: {quote(v)}" for k, v in sorted(check.items())]
-                write(("," if i else "[") + "\n    {\n      " + ",\n      ".join(items) + "\n    }")
-            write("\n  ]" if fields[key] else "[]")
-        write("\n}\n")
+        def field(value) -> str:
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+        write = handle.write
+        write('{\n  "bounds": ' + field(self.bounds) + ',\n  "checks": ')
+        opening = "["
+        for name, status, witness, group in self.checks:
+            write(f'{opening}\n    {{\n      "group": {quote(group)},\n      "name": {quote(name)},'
+                  f'\n      "status": {quote(status)}'
+                  + ("" if witness is None else ',\n      "witness": ' + quote(witness))
+                  + "\n    }")
+            opening = ","
+        write("\n  ]" if self.checks else "[]")
+        write(',\n  "runtime_seconds": ' + field(self.runtime_seconds)
+              + ',\n  "suite": ' + field(self.suite)
+              + ',\n  "totals": ' + field(self.totals()) + "\n}\n")
 
     def summary(self) -> str:
         """Human-readable digest.  Deliberately free of timing information

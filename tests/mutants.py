@@ -215,6 +215,21 @@ MUTANTS = (
         "",
         ("tests/test_matrices.py::test_dodgson_restarts_at_a_zero_minor",),
     ),
+    # Dodgson's condensation refuses a remainder, and the shift's Pascal rows
+    Mutant(
+        "condense-keeps-a-remainder", "matrices.py",
+        "                if r:\n"
+        "                    exact_div(num, d)",
+        "                if False:\n"
+        "                    exact_div(num, d)",
+        ("tests/test_matrices.py::test_condense_refuses_an_inexact_division",),
+    ),
+    Mutant(
+        "pascal-rows-unsummed", "matrices.py",
+        "pascal.append(list(accumulate(pascal[-1])))",
+        "pascal.append(list(pascal[-1]))",
+        ("tests/test_matrices.py::test_engines_match_leibniz_on_random_integer_matrices",),
+    ),
     Mutant(
         "dodgson-planted-zero-unshifted", "matrices.py",
         "if all(all(row[1:n - 1]) for row in m[1:n - 1]):",
@@ -237,7 +252,7 @@ MUTANTS = (
     # identities: the per-run memo's key, reach and lifetime
     Mutant(
         "ones-memo-key-drops-n", "identities.py",
-        "f = functools.cache(ones_product_entry)",
+        "f = _memo(ones_product_entry)",
         "f = lambda k, r, n, at={}: at.setdefault((k, r), ones_product_entry(k, r, n))",
         ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
     ),
@@ -249,10 +264,18 @@ MUTANTS = (
     ),
     Mutant(
         "moment-memo-outlives-run", "identities.py",
-        "g = functools.cache(binomial_moment_sum)",
+        "g = _memo(binomial_moment_sum)",
         'g = run_moment_identity_grid.__dict__.setdefault("memo", '
-        "functools.cache(binomial_moment_sum))",
+        "_memo(binomial_moment_sum))",
         ("tests/test_identities.py::test_grid_memo_ends_with_its_run",),
+    ),
+    Mutant(
+        "memo-forgets-refusals", "identities.py",
+        "            except ValueError as exc:\n"
+        "                value = exc\n",
+        "            except ValueError:\n"
+        "                raise\n",
+        ("tests/test_identities.py::test_grid_run_evaluates_each_refused_point_once",),
     ),
     # identities: the convolution columns and the empty x range
     Mutant(
@@ -266,6 +289,19 @@ MUTANTS = (
         "if x_hi < x_lo:",
         "if False:",
         ("tests/test_cli.py::test_verify_convolution_grid_without_nonnegative_x",),
+    ),
+    # identities: the grid compares sums, and builds a record for the first failing x only
+    Mutant(
+        "convolution-one-x-is-empty", "identities.py",
+        "if x_hi < x_lo:",
+        "if x_hi <= x_lo:",
+        ("tests/test_cli.py::test_verify_convolution_grid_with_one_x",),
+    ),
+    Mutant(
+        "convolution-witness-at-first-x", "identities.py",
+        "_convolution(a, b, bad, col_a, col_b).witness",
+        "_convolution(a, b, x_lo, col_a, col_b).witness",
+        ("tests/test_failure_paths.py::test_convolution_wrong",),
     ),
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(
@@ -446,6 +482,20 @@ MUTANTS = (
         "batches.setdefault((dim, plant), [])",
         ("tests/test_failure_paths.py::test_dodgson_runs_without_bareiss",),
     ),
+    # pipeline: the suite's matrices are randint's, row by row, and the
+    # report's runtime is the run's own
+    Mutant(
+        "random-matrix-column-major", "pipeline.py",
+        "rows = [entries[i:i + dim] for i in range(0, dim * dim, dim)]",
+        "rows = [entries[i::dim] for i in range(dim)]",
+        ("tests/test_pipeline.py::test_random_integer_matrix_draws_as_randint_does",),
+    ),
+    Mutant(
+        "runtime-adds-start", "pipeline.py",
+        "time.perf_counter() - start)",
+        "time.perf_counter() + start)",
+        ("tests/test_pipeline.py::test_report_runtime_is_the_run_time",),
+    ),
     # identities: the moment recurrence's branches, conditions swapped
     Mutant(
         "moment-branches-swapped", "identities.py",
@@ -460,8 +510,14 @@ MUTANTS = (
     # identities: the right side of the two-sided moment identity
     Mutant(
         "moment-identity-rhs-unsigned", "identities.py",
-        "rhs = Fraction((-1) ** k, n - 1)",
-        "rhs = Fraction(1, n - 1)",
+        "rhs = Fraction((-1) ** k * binomial(n, b)",
+        "rhs = Fraction(binomial(n, b)",
+        ("tests/test_identities.py::test_sums_match_term_by_term_references",),
+    ),
+    Mutant(
+        "moment-identity-rhs-drops-pole", "identities.py",
+        "(n - 1) * binomial(n - 2, k))",
+        "binomial(n - 2, k))",
         ("tests/test_identities.py::test_sums_match_term_by_term_references",),
     ),
     # report: the builders' windows and first-mismatch scan
@@ -486,9 +542,16 @@ MUTANTS = (
     ),
     Mutant(
         "report-writer-opens-empty-checks", "report.py",
-        'write("\\n  ]" if fields[key] else "[]")',
-        'write("[\\n\\n  ]" if not fields[key] else "\\n  ]")',
+        'write("\\n  ]" if self.checks else "[]")',
+        'write("[\\n\\n  ]" if not self.checks else "\\n  ]")',
         ("tests/test_cli.py::test_verify_report_file_is_the_indented_dump",),
+    ),
+    # report: each check is written from its fields, the witness escaped too
+    Mutant(
+        "report-writer-witness-unescaped", "report.py",
+        """',\\n      "witness": ' + quote(witness)""",
+        """',\\n      "witness": "' + witness + '"'""",
+        ("tests/test_cli.py::test_report_writer_escapes_as_json_does",),
     ),
     # cli: listing's chunks, the budget it asks and its reason, verify's bounds
     Mutant(

@@ -344,6 +344,22 @@ def test_verify_convolution_grid_without_nonnegative_x(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in checks if c not in convolution)
 
 
+def test_verify_convolution_grid_with_one_x(tmp_path, capsys):
+    # a one-value x range is not empty: each (A, B) check evaluates x = 3
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"x": [3, 3]}))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "lemmaA", "--grid", str(grid_path), "--out", str(out_path)
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "suite lemmaA: 537 passed, 0 failed, 0 skipped (537 checks)"
+    checks = json.loads(out_path.read_text())["checks"]
+    convolution = [c for c in checks if c["name"].startswith("convolution ")]
+    assert len(convolution) == 441
+    assert convolution[0]["name"] == "convolution A=-10 B=-10 x=3..3"
+
+
 @pytest.mark.parametrize("k_max, checks", [(None, 270), (1, 195)])
 def test_run_suite_resolves_bounds_as_verify_does(tmp_path, capsys, k_max, checks):
     # a bound left out is the grid's upper bound, and a bound given replaces

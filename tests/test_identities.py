@@ -300,6 +300,24 @@ def test_grid_run_evaluates_each_defined_value_once(monkeypatch, name, run):
     assert [point for point in defined if calls[point] > 1] == []
 
 
+@pytest.mark.parametrize("name, run", [sums[:2] for sums in GRID_SUMS])
+def test_grid_run_evaluates_each_refused_point_once(monkeypatch, name, run):
+    # the memo keeps a refusal as it keeps a value: a point whose sum
+    # raises is evaluated once, however often the residuals reference it
+    real = getattr(identities, name)
+    calls = Counter()
+
+    def counted(*point):
+        calls[point] += 1
+        return real(*point)
+
+    monkeypatch.setattr(identities, name, counted)
+    run(GridSpec())
+    refused = [point for point in calls if _outcome(real, *point)[0] == "error"]
+    assert len(refused) == 35
+    assert [point for point in refused if calls[point] > 1] == []
+
+
 @pytest.mark.parametrize("name, run, prefix", GRID_SUMS)
 def test_grid_memo_ends_with_its_run(monkeypatch, name, run, prefix):
     # every point of this box lies inside the identity's window

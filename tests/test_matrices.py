@@ -36,7 +36,7 @@ from lisenum import (
     solve_cramer,
     transfer_matrix,
 )
-from lisenum.matrices import _bareiss_step
+from lisenum.matrices import _bareiss_step, _condense
 from lisenum.pipeline import COMPONENT_METHODS
 
 
@@ -449,6 +449,13 @@ def test_bareiss_step_refuses_an_inexact_division(m, t, rows):
     # neither is a multiple of the wrong previous pivot 2
     with pytest.raises(ValueError, match="^inexact division"):
         _bareiss_step(m, t, 2, m[rows])
+
+
+def test_condense_refuses_an_inexact_division():
+    # on integer rows every division is exact (Desnanot-Jacobi); a half
+    # entry makes the stage-2 entry 1 * 1/2 - 1 * 1 = -1/2, not a multiple of 1
+    with pytest.raises(ValueError, match="^inexact division: -1/2 / 1 leaves remainder 1/2$"):
+        _condense([[1, 1], [1, Fraction(1, 2)]])
 
 
 def test_solve_cramer_checks_its_last_pivot(monkeypatch):

@@ -1,6 +1,7 @@
 """Counting routes, tables and the cross-validation engine."""
 
 import json
+import random
 import re
 import time
 from math import factorial
@@ -387,6 +388,26 @@ def test_k_max_bounds_the_identity_grids_too():
     assert report.bounds["k_max"] == 1
     assert [c.name for c in report.checks if re.search(r"\bk=2\b", c.name)] == []
     assert any(c.name.startswith("ones-entry k=1 ") for c in report.checks)
+
+
+def test_report_runtime_is_the_run_time():
+    # perf_counter() - start: nonnegative and within the call's own wall time
+    start = time.perf_counter()
+    report = run_suite("conjecture", k_max=3, n_max=6)
+    wall = time.perf_counter() - start
+    assert 0 <= report.runtime_seconds <= wall
+
+
+def test_random_integer_matrix_draws_as_randint_does():
+    # the dodgson suite's matrices are those the acceptance criterion draws
+    # row by row with randint(-9, 9), planted zeros included
+    ours, theirs = random.Random(20240229), random.Random(20240229)
+    for index in range(1000):
+        dim, plant = 2 + index % 5, index % 3 == 0
+        rows = [[theirs.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+        if plant and dim >= 3:
+            rows[theirs.randint(1, dim - 2)][theirs.randint(1, dim - 2)] = 0
+        assert pipeline.random_integer_matrix(ours, dim, plant) == matrices.Matrix(rows), index
 
 
 def test_report_json_shape():
