@@ -60,7 +60,8 @@ def vandermonde_chu_check(a: int, b: int, x: int) -> CheckResult:
     """
     if x < 0:
         raise ValueError(f"upper summation index must be nonnegative, got x={x}")
-    return _convolution(a, b, x, _column(a, x), _column(b, x))
+    lhs, rhs = _convolution_sum(x, _column(a, x), _column(b, x)), binomial(a + b + x + 1, x)
+    return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lhs={got} rhs={want}")
 
 
 def _column(a: int, x_hi: int) -> list[int]:
@@ -72,13 +73,6 @@ def _convolution_sum(x: int, col_a: list[int], col_b: list[int]) -> int:
     """sum_{y=0..x} col_a[y] col_b[x-y], for columns reaching at least
     y = x."""
     return sum(map(mul, col_a[:x + 1], col_b[x::-1]))
-
-
-def _convolution(a: int, b: int, x: int, col_a: list[int], col_b: list[int]) -> CheckResult:
-    """The convolution check at x from the columns of a and b, each
-    reaching at least y = x."""
-    lhs, rhs = _convolution_sum(x, col_a, col_b), binomial(a + b + x + 1, x)
-    return expect(f"convolution A={a} B={b} x={x}", lhs, rhs, "lhs={got} rhs={want}")
 
 
 def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> Fraction:
@@ -249,9 +243,9 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
 
     Each A and each B value gets its column binomial(y+a, y), y <= x_hi,
     once.  Each x compares the sum with binomial(a+b+x+1, x), and only
-    the first failing x builds its check, for the witness.  A box with
-    no x >= 0 evaluates nothing, so each (A, B) result is then
-    skipped."""
+    the first failing x builds its ``vandermonde_chu_check``, for the
+    witness.  A box with no x >= 0 evaluates nothing, so each (A, B)
+    result is then skipped."""
     results = []
     x_lo, x_hi = max(spec.x[0], 0), spec.x[1]
     cols_b = {b: _column(b, x_hi) for b in range(spec.B[0], spec.B[1] + 1)}
@@ -265,7 +259,7 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
             bad = next((x for x in range(x_lo, x_hi + 1)
                         if _convolution_sum(x, col_a, col_b) != binomial(a + b + x + 1, x)), None)
             results.append(passed(name) if bad is None
-                           else failed(name, _convolution(a, b, bad, col_a, col_b).witness))
+                           else failed(name, vandermonde_chu_check(a, b, bad).witness))
     return results
 
 

@@ -150,10 +150,11 @@ def dot(u: Sequence[Exact], v: Sequence[Exact]) -> Exact:
 # ---------------------------------------------------------------------------
 
 def _bareiss_step(m: list[list[int]], t: int, prev: int, rows: list[list[int]]) -> None:
-    """Clear column ``t`` in each of ``rows``, rows of the integer matrix
-    ``m`` other than the pivot row ``t``: every entry right of it becomes
-    (entry * pivot - left * top) / prev, a division that is exact
-    (Bareiss 1968); a remainder raises."""
+    """Eliminate column ``t`` from each of ``rows``, rows of the integer
+    matrix ``m`` other than the pivot row ``t``: every entry right of
+    column t becomes (entry * pivot - left * top) / prev, a division that
+    is exact (Bareiss 1968); a remainder raises.  Entries at and left of
+    column t are left as they are: no later step reads them."""
     top = m[t]
     p = top[t]
     for row in rows:
@@ -164,7 +165,6 @@ def _bareiss_step(m: list[list[int]], t: int, prev: int, rows: list[list[int]]) 
             if r:
                 exact_div(num, prev)  # raises the inexact-division error
             row[j] = q
-        row[t] = 0
 
 
 def det_bareiss(a: Matrix) -> Fraction:
@@ -282,7 +282,8 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
     Each row of the augmented matrix [a | v] is cleared of denominators,
     one forward elimination with row pivoting keeps every entry an
     integer by dividing exactly by the previous pivot, and integer back
-    substitution finishes: O(k^3) for k+1 unknowns.  The last pivot,
+    substitution finishes: O(k^3) for k+1 unknowns.  Neither reads an
+    entry left of the pivot column, so none is cleared.  The last pivot,
     prev, is +-det of the integer system, so by Cramer's rule each
     X_i = prev * x_i is +-det of that system with column i replaced by
     the right-hand side, an integer; row i of the triangle gives it as
@@ -314,7 +315,6 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
                 if r:
                     exact_div(num, prev)  # raises the inexact-division error
                 row[j] = q
-            row[t] = 0
         prev = p
     scaled = [0] * n
     for i in range(n - 1, -1, -1):
@@ -331,7 +331,7 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     matrices every solution entry is itself an integer determinant,
     det(A_i) / det(a), with A_i the matrix ``a`` with column i replaced
     by v.  One fraction-free Gauss-Jordan pass over the augmented rows
-    [a | v] with row pivoting clears each pivot column above the pivot
+    [a | v] with row pivoting eliminates each pivot column above the pivot
     as well as below it (Bareiss 1968, the Bareiss-Montante method),
     with the update of ``det_bareiss``: ``_bareiss_step`` given every
     row but the pivot's.  By Sylvester's identity the last pivot ends

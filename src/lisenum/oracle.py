@@ -242,14 +242,12 @@ def component_counts(n: int, k: int) -> list[int]:
     first+1..n-1.  The rest are tails.
     """
     check_size(n, k)
-    if n == 0:
-        # the empty permutation occupies the single slot of the k = 0 vector
-        return [1]
     counts = []
     for first in range(1, k + 2):
         # cells[v - 1] spells value v: "1" below first, then "0" up to n
         # but for the values picked; first == n, at (1, 0) and (2, 1),
-        # leaves none to pick and spells the prefix n alone
+        # leaves none to pick and spells the prefix n alone; at (0, 0)
+        # the empty word counts the empty permutation
         cells = bytearray(("1" * (first - 1) + "0" * (n - first + 1)).encode())
         total = 0
         for picked in combinations(range(first, n - 1), k - first + 1):

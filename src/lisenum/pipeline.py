@@ -138,7 +138,6 @@ def count(n: int, k: int, method: str = "formula") -> int:
     row-functional product counting_row . initial_vector whenever the
     row is defined.
     """
-    check_size(n, k)
     if method == "formula":
         return count_formula(n, k)
     if method == "kernel":
@@ -208,7 +207,6 @@ def component_table(k: int, n_from: int, n_to: int) -> ComponentTable:
 
     The recursion runs from n = 2k to n_from once; each later column is
     one tail-sum step from the column before it."""
-    check_size(n_from, k)
     if n_to < n_from:
         raise ValueError(f"empty range: n_from={n_from} > n_to={n_to}")
     cols = []
@@ -395,7 +393,6 @@ def check_insertion_bijection(n: int, k: int) -> CheckResult:
     lexicographic order.  The first mismatch is the witness, ``none``
     past the end of either list.
     """
-    check_size(n, k)
     if n == 0:
         raise ValueError("insertion is undefined from the empty permutation; need n >= 1")
     name = f"insertion-bijection k={k} n={n}->{n + 1}"
@@ -466,8 +463,9 @@ def run_suite(
     Every suite reads its k and n ranges from one resolved grid:
     ``grid``, or ``GridSpec()`` when none is given, with its ``k`` and
     ``n`` upper bounds replaced by ``k_max`` and ``n_max`` when those
-    are given.  The replaced ranges pass ``GridSpec.from_dict``'s range
-    check, so a bound below its range's lower bound raises there.
+    are given.  That grid passes through ``GridSpec.from_dict``, so a
+    malformed range raises there however the grid was built, as does a
+    bound below its range's lower bound.
     ``groups`` is the one table of suite groups, in report order; each
     record's group is the group that built it."""
     if suite not in SUITES:
@@ -483,8 +481,7 @@ def run_suite(
                          f"the k upper bound: n_max={n_max}, k_max={k_max}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    upper = GridSpec.from_dict({"k": [grid.k[0], k_max], "n": [grid.n[0], n_max]})
-    grid = grid._replace(k=upper.k, n=upper.n)
+    grid = GridSpec.from_dict({**grid._asdict(), "k": (grid.k[0], k_max), "n": (grid.n[0], n_max)})
     groups = {
         "counts": _suite_counts,
         "conjecture": _suite_conjecture,

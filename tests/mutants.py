@@ -175,8 +175,7 @@ MUTANTS = (
         "                q, r = divmod(num, prev)\n"
         "                if r:\n"
         "                    exact_div(num, prev)  # raises the inexact-division error\n"
-        "                row[j] = q\n"
-        "            row[t] = 0\n",
+        "                row[j] = q\n",
         "        _bareiss_step(m, t, prev, m[t + 1:])\n",
         ("tests/test_boundaries.py::test_matrices_functions_share_no_code",),
     ),
@@ -299,8 +298,8 @@ MUTANTS = (
     ),
     Mutant(
         "convolution-witness-at-first-x", "identities.py",
-        "_convolution(a, b, bad, col_a, col_b).witness",
-        "_convolution(a, b, x_lo, col_a, col_b).witness",
+        "vandermonde_chu_check(a, b, bad).witness",
+        "vandermonde_chu_check(a, b, x_lo).witness",
         ("tests/test_failure_paths.py::test_convolution_wrong",),
     ),
     # pipeline: route 3's total, the bijection check, the bounds rule
@@ -337,8 +336,8 @@ MUTANTS = (
     ),
     Mutant(
         "override-applied-to-a-copy", "pipeline.py",
-        "grid = grid._replace(k=upper.k, n=upper.n)",
-        "resolved = grid._replace(k=upper.k, n=upper.n)",
+        "grid = GridSpec.from_dict({**grid._asdict(),",
+        "resolved = GridSpec.from_dict({**grid._asdict(),",
         ("tests/test_pipeline.py::test_k_max_bounds_the_identity_grids_too",),
     ),
     Mutant(
@@ -601,6 +600,142 @@ MUTANTS = (
         "k_max=args.k_max, n_max=args.n_max",
         "k_max=None, n_max=args.n_max",
         ("tests/test_cli.py::test_run_suite_resolves_bounds_as_verify_does",),
+    ),
+    # functions that lost a dead store, a dead branch or a repeated check
+    Mutant(
+        "bareiss-step-skips-next-column", "matrices.py",
+        "        f = row[t]\n        for j in range(t + 1, len(top)):",
+        "        f = row[t]\n        for j in range(t + 2, len(top)):",
+        ("tests/test_matrices.py::test_engines_match_leibniz_on_random_integer_matrices",),
+    ),
+    Mutant(
+        "solve-bareiss-keeps-a-remainder", "matrices.py",
+        "                if r:\n                    exact_div(num, prev)",
+        "                if False:\n                    exact_div(num, prev)",
+        ("tests/test_matrices.py::test_solve_bareiss_refuses_an_inexact_division",),
+    ),
+    Mutant(
+        "component-counts-skips-the-empty-class", "oracle.py",
+        "    for first in range(1, k + 2):\n        # cells",
+        "    for first in range(1, min(k + 2, n + 1)):\n        # cells",
+        ("tests/test_oracle.py::test_component_counts",),
+    ),
+    Mutant(
+        "cramer-row-check-from-k-plus-3", "pipeline.py",
+        "        if n >= k + 2:\n            via_row",
+        "        if n > k + 2:\n            via_row",
+        ("tests/test_pipeline.py::test_cramer_count_checks_the_row_functional_from_n_equal_k_plus_2",),
+    ),
+    Mutant(
+        "table-one-column-refused", "pipeline.py",
+        "if n_to < n_from:",
+        "if n_to <= n_from:",
+        ("tests/test_cli.py::test_table_one_column",),
+    ),
+    Mutant(
+        "bijection-witness-stops-at-the-shorter-list", "pipeline.py",
+        "zip_longest(images, members)",
+        "zip(images, members)",
+        ("tests/test_failure_paths.py::test_bijection_member_missing",),
+    ),
+    Mutant(
+        "convolution-check-rhs-off-by-one", "identities.py",
+        "_column(b, x)), binomial(a + b + x + 1, x)",
+        "_column(b, x)), binomial(a + b + x, x)",
+        ("tests/test_identities.py::test_convolution_trivial_point",),
+    ),
+    Mutant(
+        "convolution-grid-witness-is-a-name", "identities.py",
+        "vandermonde_chu_check(a, b, bad).witness",
+        "vandermonde_chu_check(a, b, bad).name",
+        ("tests/test_failure_paths.py::test_convolution_wrong",),
+    ),
+    Mutant(
+        "run-suite-grid-built-unchecked", "pipeline.py",
+        "grid = GridSpec.from_dict({**grid._asdict(),",
+        "grid = GridSpec(**{**grid._asdict(),",
+        ("tests/test_pipeline.py::test_run_suite_refuses_a_malformed_grid_however_built",),
+    ),
+    # statements a deletion sweep found no test for, each now pinned
+    Mutant(
+        "bijection-budget-cut-runs-the-cell", "pipeline.py",
+        "                results.append(skipped(name, why))\n                continue\n",
+        "                results.append(skipped(name, why))\n",
+        ("tests/test_cli.py::test_verify_budget_zero_skips_every_bijection_cell",),
+    ),
+    Mutant(
+        "budget-zero-refused", "pipeline.py",
+        "if budget < 0:",
+        "if budget <= 0:",
+        ("tests/test_cli.py::test_verify_budget_zero_skips_every_bijection_cell",),
+    ),
+    Mutant(
+        "initial-vector-unchecked", "matrices.py",
+        "    check_size(2 * k, k)\n    return tuple(\n        sum(",
+        "    return tuple(\n        sum(",
+        ("tests/test_matrices.py::test_initial_vector_takes_the_size_rule",),
+    ),
+    Mutant(
+        "insert-prefix-unchecked", "oracle.py",
+        "    check_permutation(mu)\n    if not mu:",
+        "    if not mu:",
+        ("tests/test_oracle.py::test_insert_prefix_errors",),
+    ),
+    Mutant(
+        "conjecture-violation-drops-solution", "pipeline.py",
+        "        self.solution = solution\n",
+        "",
+        ("tests/test_pipeline.py::test_conjecture_violation_is_loud",),
+    ),
+    Mutant(
+        "brute-force-budget-before-size", "cli.py",
+        "    exact.check_size(n, k)\n",
+        "",
+        ("tests/test_cli.py::test_brute_force_checks_the_size_before_the_budget",),
+    ),
+    Mutant(
+        "falling-factorial-unchecked", "exact.py",
+        "    if n < 0 or i < 0:\n",
+        "    if False:\n",
+        ("tests/test_exact.py::test_falling_factorial_domain_errors",),
+    ),
+    Mutant(
+        "place-no-dead-child-skip", "oracle.py",
+        "if pos == last and v != rest[-1]:",
+        "if False:",
+        ("tests/test_oracle.py::test_walk_skips_the_children_the_pruning_lemma_cuts",),
+    ),
+    Mutant(
+        "dodgson-prescan-skips-last-column", "matrices.py",
+        "if all(all(row[1:n - 1]) for row in m[1:n - 1]):",
+        "if all(all(row[1:n - 2]) for row in m[1:n - 1]):",
+        ("tests/test_matrices.py::test_dodgson_planted_zero_goes_straight_to_the_shift",),
+    ),
+    Mutant(
+        "dodgson-prescan-skips-last-row", "matrices.py",
+        "if all(all(row[1:n - 1]) for row in m[1:n - 1]):",
+        "if all(all(row[1:n - 1]) for row in m[1:n - 2]):",
+        ("tests/test_matrices.py::test_dodgson_planted_zero_goes_straight_to_the_shift",),
+    ),
+    Mutant(
+        "integer-rows-no-fast-path", "exact.py",
+        "        if set(map(type, row)) == {int}:\n"
+        "            out.append(list(row))\n"
+        "            continue\n",
+        "",
+        ("tests/test_exact.py::test_integer_rows_scales_only_fraction_rows",),
+    ),
+    Mutant(
+        "table-json-indent-3", "pipeline.py",
+        "}, indent=2, sort_keys=True)",
+        "}, indent=3, sort_keys=True)",
+        ("tests/test_cli.py::test_table_json_bytes",),
+    ),
+    Mutant(
+        "enumerate-chunk-513", "cli.py",
+        "ENUMERATE_CHUNK = 512",
+        "ENUMERATE_CHUNK = 513",
+        ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
     ),
 )
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lisenum import CheckResult, GridSpec, VerificationReport, cli, oracle, pipeline
+from lisenum import CheckResult, GridSpec, VerificationReport, oracle, pipeline
 from lisenum.cli import main
 
 
@@ -91,6 +91,40 @@ def test_table_k0(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "B(1),1,1,1,1,1"
     assert lines[2] == "A,1,1,1,1,1"
+
+
+def test_table_one_column(capsys):
+    assert run_cli(
+        capsys, "table", "--k", "2", "--n-from", "5", "--n-to", "5", "--format", "csv"
+    ) == (0, "component,n=5\nB(1),5\nB(2),4\nB(3),2\nA,11\n", "")
+
+
+def test_table_json_bytes(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--k", "1", "--n-from", "2", "--n-to", "3", "--format", "json"
+    )
+    assert (code, out) == (0, """{
+  "components": [
+    [
+      "0",
+      "1"
+    ],
+    [
+      "1",
+      "1"
+    ]
+  ],
+  "k": 1,
+  "n_values": [
+    2,
+    3
+  ],
+  "totals": [
+    "1",
+    "2"
+  ]
+}
+""")
 
 
 def test_table_json(capsys):
@@ -181,9 +215,9 @@ def test_enumerate_writes_pinned_stdout_a_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["enumerate", "--n", "11", "--k", "5"]) == 0
     assert len(writes) > 1
-    # every write but the last holds exactly one chunk of lines
-    assert all(text.count("\n") == cli.ENUMERATE_CHUNK for text in writes[:-1])
-    assert 0 < writes[-1].count("\n") <= cli.ENUMERATE_CHUNK
+    # every write but the last holds exactly one chunk of 512 lines (README)
+    assert all(text.count("\n") == 512 for text in writes[:-1])
+    assert 0 < writes[-1].count("\n") <= 512
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == ENUMERATE_11_5_SHA256
 
 
@@ -221,6 +255,15 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     assert err == (
         "error: brute force at n=20, k=10: 670442572800 candidates exceeds budget 1000000\n"
     )
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("enumerate", "--n", "30", "--k", "20"), "error: n >= 2k violated: n=30, k=20\n"),
+    (("count", "--n", "-1", "--k", "0", "--method", "oracle"),
+     "error: n must be nonnegative, got n=-1\n"),
+])
+def test_brute_force_checks_the_size_before_the_budget(capsys, argv, error):
+    assert run_cli(capsys, *argv) == (2, "", error)
 
 
 def test_brute_force_budget_is_inclusive(monkeypatch, capsys):
@@ -292,6 +335,17 @@ def test_verify_all_writes_report(tmp_path, capsys):
     assert data["bounds"] == {"k_max": 2, "n_max": 8, "budget": 100000}
     assert data["totals"]["fail"] == 0
     assert isinstance(data["runtime_seconds"], float)
+
+
+def test_verify_budget_zero_skips_every_bijection_cell(capsys):
+    # a budget of 0 is a budget, not an error; each cut cell records one
+    # skip and no check result
+    assert run_cli(capsys, "verify", "--suite", "bijection", "--budget", "0") == (
+        0,
+        "suite bijection: 0 passed, 0 failed, 27 skipped (27 checks)\n"
+        "  bijection: 0 passed, 0 failed, 27 skipped\n",
+        "",
+    )
 
 
 def test_verify_stdout_is_byte_identical(capsys):

@@ -2,6 +2,7 @@
 form; and the size rule, which every public (n, k) entry point takes
 from ``exact.check_size``."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -83,12 +84,14 @@ def test_falling_factorial_values(n, i, expected):
 
 
 def test_falling_factorial_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^falling_factorial undefined for i > n: \(3, 4\)$"):
         falling_factorial(3, 4)
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 0)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
+    # refused before math.perm, which words its refusal differently
+    for n, i in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError, match=(
+            rf"^falling_factorial needs nonnegative arguments, got \({n}, {i}\)$"
+        )):
+            falling_factorial(n, i)
 
 
 def test_exact_div():
@@ -107,7 +110,9 @@ def test_integer_rows_copies_int_rows():
     assert rows == [(1, -2, 3), [4, 0, -6]]
 
 
-def test_integer_rows_scales_only_fraction_rows():
+def test_integer_rows_scales_only_fraction_rows(monkeypatch):
+    lcms, real = [], math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *xs: lcms.append(xs) or real(*xs))
     rows = [
         (Fraction(1, 2), 3, Fraction(-1, 3)),
         (2, 5, 7),
@@ -118,6 +123,8 @@ def test_integer_rows_scales_only_fraction_rows():
     assert out == [[3, 18, -2], [2, 5, 7], [16, 3, 4], [2, 1]]
     assert scale == 6 * 4
     assert {type(x) for row in out for x in row} == {int}
+    # one lcm per row holding a Fraction: the all-int row is copied as it is
+    assert len(lcms) == 3
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6),

@@ -89,6 +89,11 @@ def test_initial_vector_values():
     assert initial_vector(3) == (2, -1, -4, -1)
 
 
+def test_initial_vector_takes_the_size_rule():
+    with pytest.raises(ValueError, match="^k must be nonnegative, got k=-1$"):
+        initial_vector(-1)
+
+
 def test_initial_vector_recomputable_from_definition():
     from math import factorial
 
@@ -309,11 +314,18 @@ def test_dodgson_restarts_at_a_zero_minor(monkeypatch):
 
 
 def test_dodgson_planted_zero_goes_straight_to_the_shift(monkeypatch):
+    # every interior entry divides at stage 3, so a zero at any of them
+    # skips the unshifted attempt: one call, on shifted rows
     calls = spy_condense(monkeypatch)
-    rows = [[2, 1, 3, 1], [5, 0, 1, 4], [4, 2, 2, 3], [1, 3, 5, 2]]
-    m = Matrix(rows)
-    assert det_dodgson(m) == det_leibniz(m) == 45
-    assert len(calls) == 1 and calls[0][0] != rows and calls[0][1] is not None
+    for i in range(1, 4):
+        for j in range(1, 4):
+            rows = [[2, 1, 3, 1, 4], [5, 3, 1, 4, 2], [4, 2, 2, 3, 1], [1, 3, 5, 2, 2],
+                    [3, 1, 4, 1, 5]]
+            rows[i][j] = 0
+            m = Matrix(rows)
+            calls.clear()
+            assert det_dodgson(m) == det_leibniz(m), (i, j)
+            assert len(calls) == 1 and calls[0][0] != rows and calls[0][1] is not None, (i, j)
 
 
 def test_dodgson_cost_stays_near_bareiss():
@@ -456,6 +468,14 @@ def test_condense_refuses_an_inexact_division():
     # entry makes the stage-2 entry 1 * 1/2 - 1 * 1 = -1/2, not a multiple of 1
     with pytest.raises(ValueError, match="^inexact division: -1/2 / 1 leaves remainder 1/2$"):
         _condense([[1, 1], [1, Fraction(1, 2)]])
+
+
+def test_solve_bareiss_refuses_an_inexact_division(monkeypatch):
+    # rows left with their half entry: 1/2 * 1 - 1 * 1 = -1/2 is not a
+    # multiple of the previous pivot 1
+    monkeypatch.setattr(matrices, "integer_rows", lambda rows: ([list(row) for row in rows], 1))
+    with pytest.raises(ValueError, match="^inexact division: -1/2 / 1 leaves remainder 1/2$"):
+        solve_bareiss(Matrix([[1, 1], [1, Fraction(1, 2)]]), (0, 0))
 
 
 def test_solve_cramer_checks_its_last_pivot(monkeypatch):

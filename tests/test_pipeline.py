@@ -190,8 +190,17 @@ def test_table_columns_are_tail_sums(size, width):
 
 def test_conjecture_violation_is_loud():
     exc = ConjectureViolation(7, (1, 2))
-    assert exc.k == 7
+    assert (exc.k, exc.solution) == (7, (1, 2))
     assert "k=7" in str(exc)
+
+
+def test_cramer_count_checks_the_row_functional_from_n_equal_k_plus_2(monkeypatch):
+    # (4, 2) is the first size where counting_row is defined at k = 2
+    monkeypatch.setattr(pipeline, "counting_row", lambda k, n: (0,) * (k + 1))
+    with pytest.raises(ArithmeticError, match=(
+        "^row-functional count 0 disagrees with determinant count 5 at n=4, k=2$"
+    )):
+        count(4, 2, "cramer")
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +359,17 @@ def test_run_suite_validation():
         run_suite("all", k_max=-1, grid=GridSpec.from_dict({"k": [0, 2], "n": [0, 8]}))
     with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
         run_suite("all", budget=-1)
+
+
+@pytest.mark.parametrize("grid, error", [
+    (GridSpec(x=(5, 1)), "empty range for x: [5, 1]"),
+    (GridSpec(r=(5, 1)), "empty range for r: [5, 1]"),
+    (GridSpec(A=(0, 1.5)), "range for A must be a [lo, hi] integer pair, got (0, 1.5)"),
+])
+def test_run_suite_refuses_a_malformed_grid_however_built(grid, error):
+    # a grid built in code meets the checks a --grid file meets
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        run_suite("all", grid=grid)
 
 
 GROUP_ORDER = ["counts", "conjecture", "lemmaA", "lemmaB", "lemmaC", "prop33", "bijection", "dodgson"]
