@@ -17,14 +17,15 @@ combinations so the suites can assert they vanish.  Grid points where a
 referenced value is undefined are skipped and logged, never silently
 dropped or asserted.
 
-A grid run evaluates each referenced point once, a refused one too: the
-runner memoizes the sum as the module binds it when the run starts,
-values and ``ValueError`` refusals alike, and its residuals read that
-memo.  The memo belongs to the call and ends with it, so nothing
-outlives a run and a patched sum is seen by the next one.  The
-convolution runner likewise builds each binomial column once per
-parameter value, and compares each point's sum with its closed form
-without building a record unless the point fails.
+A grid run evaluates each defined point once: when the run starts, the
+runner wraps the sum, as the module binds it then, in a fresh
+``functools.cache``, and its residuals read that cache.  A refused point
+is not cached, so each reference to it raises its ``ValueError`` afresh;
+a refusal is cheap.  The cache ends with the call, so nothing outlives a
+run and a patched sum is seen by the next one.  The convolution runner
+likewise builds each binomial column once per parameter value, and
+compares each point's sum with its closed form without building a record
+unless the point fails.
 
 Every sum over j = 1..k+1 of weight(j)/(n-j) is built from integer
 weights as one Fraction over the denominator prod (n-j), with each sign
@@ -35,6 +36,7 @@ exponents included.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -42,11 +44,6 @@ from .exact import binomial
 from .report import CheckResult, expect, expect_within, failed, passed, skipped
 
 Range = tuple[int, int]
-
-
-def _check_pole(k: int, n: int) -> None:
-    if 1 <= n <= k + 1:
-        raise ValueError(f"denominator n-j vanishes in 1..k+1: n={n}, k={k}")
 
 
 def vandermonde_chu_check(a: int, b: int, x: int) -> CheckResult:
@@ -78,7 +75,8 @@ def _convolution_sum(x: int, col_a: list[int], col_b: list[int]) -> int:
 def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> Fraction:
     """sum_{j=1..k+1} weight(j)/(n-j) for integer weights, built as one
     Fraction over the denominator prod_{j=1..k+1} (n-j)."""
-    _check_pole(k, n)
+    if 1 <= n <= k + 1:
+        raise ValueError(f"denominator n-j vanishes in 1..k+1: n={n}, k={k}")
     numerator, denominator = 0, 1
     for j in range(1, k + 2):
         numerator = numerator * (n - j) + weight(j) * denominator
@@ -263,32 +261,10 @@ def run_convolution_grid(spec: GridSpec) -> list[CheckResult]:
     return results
 
 
-def _memo(f: Callable[[int, int, int], Fraction]) -> Callable[[int, int, int], Fraction]:
-    """``f`` memoized for one grid run: each point's value, or the
-    ``ValueError`` that refuses it, is computed once.  (``functools.cache``
-    keeps no raised error, so it would evaluate a refused point again at
-    each reference.)"""
-    values: dict = {}
-
-    def memo(*point: int) -> Fraction:
-        value = values.get(point, values)
-        if value is values:
-            try:
-                value = f(*point)
-            except ValueError as exc:
-                value = exc
-            values[point] = value
-        if isinstance(value, ValueError):
-            raise value.with_traceback(None)
-        return value
-
-    return memo
-
-
 def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
     """Unit values and recurrence residuals for ones_product_entry, each
-    point evaluated once per call."""
-    f = _memo(ones_product_entry)
+    defined point evaluated once per call."""
+    f = cache(ones_product_entry)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):
@@ -314,8 +290,8 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
 
 def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
     """Unit values, two-sided form and residuals for binomial_moment_sum,
-    each point evaluated once per call."""
-    g = _memo(binomial_moment_sum)
+    each defined point evaluated once per call."""
+    g = cache(binomial_moment_sum)
     results = []
     for k in spec.k_values():
         for n in spec.n_values(k):

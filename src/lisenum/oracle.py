@@ -61,7 +61,7 @@ with a filter of all n! permutations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache
 from itertools import chain, combinations, permutations, starmap
 from math import comb, factorial
 from operator import le
@@ -162,7 +162,7 @@ def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[_Bl
         tails[pos] = old
 
 
-@lru_cache(maxsize=None)
+@cache
 def _count_word(word: str) -> int:
     """How many members ``_place`` would yield from the node spelt by
     ``word``: ``"0"`` for a tail and ``"1"`` for a value still to place,

@@ -6,6 +6,7 @@ record's group to the suite that ran it."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 PASS = "pass"
@@ -87,10 +88,8 @@ class VerificationReport(NamedTuple):
         return [c for c in self.checks if c.status == FAIL]
 
     def totals(self) -> dict:
-        t = {PASS: 0, FAIL: 0, SKIPPED: 0}
-        for c in self.checks:
-            t[c.status] += 1
-        return t
+        counts = Counter(c.status for c in self.checks)
+        return {status: counts[status] for status in (PASS, FAIL, SKIPPED)}
 
     def to_json(self) -> dict:
         return {
@@ -139,15 +138,11 @@ class VerificationReport(NamedTuple):
             f"suite {self.suite}: {t[PASS]} passed, {t[FAIL]} failed, "
             f"{t[SKIPPED]} skipped ({len(self.checks)} checks)"
         ]
-        by_group: dict[str, dict] = {}
-        for c in self.checks:
-            g = by_group.setdefault(c.group, {PASS: 0, FAIL: 0, SKIPPED: 0})
-            g[c.status] += 1
-        for name in sorted(by_group):
-            g = by_group[name]
+        by_group = Counter((c.group, c.status) for c in self.checks)
+        for name in sorted({group for group, _ in by_group}):
             lines.append(
-                f"  {name or '(ungrouped)'}: {g[PASS]} passed, {g[FAIL]} failed, "
-                f"{g[SKIPPED]} skipped"
+                f"  {name or '(ungrouped)'}: {by_group[name, PASS]} passed, "
+                f"{by_group[name, FAIL]} failed, {by_group[name, SKIPPED]} skipped"
             )
         for c in self.failures:
             lines.append(f"  FAIL [{c.group}] {c.name}: {c.witness}")

@@ -248,10 +248,10 @@ MUTANTS = (
         "(k2 - here)",
         ("tests/test_identities.py::test_ones_recurrence_residuals",),
     ),
-    # identities: the per-run memo's key, reach and lifetime
+    # identities: the per-run cache's key, reach and lifetime
     Mutant(
         "ones-memo-key-drops-n", "identities.py",
-        "f = _memo(ones_product_entry)",
+        "f = cache(ones_product_entry)",
         "f = lambda k, r, n, at={}: at.setdefault((k, r), ones_product_entry(k, r, n))",
         ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
     ),
@@ -263,18 +263,17 @@ MUTANTS = (
     ),
     Mutant(
         "moment-memo-outlives-run", "identities.py",
-        "g = _memo(binomial_moment_sum)",
+        "g = cache(binomial_moment_sum)",
         'g = run_moment_identity_grid.__dict__.setdefault("memo", '
-        "_memo(binomial_moment_sum))",
+        "cache(binomial_moment_sum))",
         ("tests/test_identities.py::test_grid_memo_ends_with_its_run",),
     ),
+    # identities: the pole check inlined into the one-denominator sum
     Mutant(
-        "memo-forgets-refusals", "identities.py",
-        "            except ValueError as exc:\n"
-        "                value = exc\n",
-        "            except ValueError:\n"
-        "                raise\n",
-        ("tests/test_identities.py::test_grid_run_evaluates_each_refused_point_once",),
+        "pole-check-range-off-by-one", "identities.py",
+        "    if 1 <= n <= k + 1:\n",
+        "    if 1 <= n <= k:\n",
+        ("tests/test_identities.py::test_sums_match_term_by_term_references",),
     ),
     # identities: the convolution columns and the empty x range
     Mutant(
@@ -736,6 +735,19 @@ MUTANTS = (
         "ENUMERATE_CHUNK = 512",
         "ENUMERATE_CHUNK = 513",
         ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
+    ),
+    # report: the status tallies are Counters
+    Mutant(
+        "totals-drops-a-status", "report.py",
+        "for status in (PASS, FAIL, SKIPPED)}",
+        "for status in (PASS, FAIL)}",
+        ("tests/test_pipeline.py::test_report_json_shape",),
+    ),
+    Mutant(
+        "summary-swaps-two-counts", "report.py",
+        'f"{by_group[name, FAIL]} failed, {by_group[name, SKIPPED]} skipped"',
+        'f"{by_group[name, SKIPPED]} failed, {by_group[name, FAIL]} skipped"',
+        ("tests/test_pipeline.py::test_report_summary_labels_builder_records_ungrouped",),
     ),
 )
 

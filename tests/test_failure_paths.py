@@ -7,6 +7,7 @@ together with the CLI's exit code 1 and its FAIL line.
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -426,3 +427,14 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert "  FAIL [prop33] det-kernel-matrix k=0 engine=dodgson: det = 2" in lines
     assert lines[0].startswith("suite prop33: ")
     assert " 0 failed" not in lines[0]
+
+
+def test_each_test_runs_under_a_time_cap():
+    # tests/conftest.py arms an alarm around every test: a spinning loop
+    # gets an error no `except Exception` or hypothesis retry catches
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= 60
+    with pytest.raises(BaseException) as exc:
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)
+    assert not isinstance(exc.value, Exception)
+    assert str(exc.value) == "test ran past its 60 s cap"

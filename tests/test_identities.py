@@ -300,10 +300,14 @@ def test_grid_run_evaluates_each_defined_value_once(monkeypatch, name, run):
     assert [point for point in defined if calls[point] > 1] == []
 
 
-@pytest.mark.parametrize("name, run", [sums[:2] for sums in GRID_SUMS])
-def test_grid_run_evaluates_each_refused_point_once(monkeypatch, name, run):
-    # the memo keeps a refusal as it keeps a value: a point whose sum
-    # raises is evaluated once, however often the residuals reference it
+@pytest.mark.parametrize("name, run, evaluations", [
+    ("ones_product_entry", run_ones_identity_grid, 1082),
+    ("binomial_moment_sum", run_moment_identity_grid, 864),
+])
+def test_grid_run_evaluation_count_repeats_each_run(monkeypatch, name, run, evaluations):
+    # the per-run cache keeps values only: each of the 35 refused points
+    # is evaluated again at every reference, and a second run starts from
+    # an empty cache, so it evaluates exactly as often as the first
     real = getattr(identities, name)
     calls = Counter()
 
@@ -312,10 +316,12 @@ def test_grid_run_evaluates_each_refused_point_once(monkeypatch, name, run):
         return real(*point)
 
     monkeypatch.setattr(identities, name, counted)
-    run(GridSpec())
-    refused = [point for point in calls if _outcome(real, *point)[0] == "error"]
-    assert len(refused) == 35
-    assert [point for point in refused if calls[point] > 1] == []
+    counts = []
+    for _ in range(2):
+        run(GridSpec())
+        counts.append(sum(calls.values()))
+        calls.clear()
+    assert counts == [evaluations, evaluations]
 
 
 @pytest.mark.parametrize("name, run, prefix", GRID_SUMS)

@@ -25,6 +25,7 @@ from lisenum import (
 )
 from lisenum import matrices, pipeline
 from lisenum.pipeline import ORACLE_N_CAP
+from lisenum.report import failed, passed, skipped
 
 KERNELS = {
     0: [1],
@@ -447,6 +448,23 @@ def test_report_summary_mentions_failures():
     assert not report.ok
     assert "broken thing" in report.summary()
     assert "witness text" in report.summary()
+
+
+def test_report_summary_labels_builder_records_ungrouped():
+    # a check builder called on its own leaves group "", which the summary
+    # prints as "(ungrouped)", sorted before every named group
+    report = VerificationReport("demo", {}, [
+        CheckResult("z", "fail", "late", "lemmaA"),
+        passed("a"), skipped("b", "why"), failed("c", "w"), skipped("d", "why"),
+        passed("e"), skipped("f", "why"),
+    ])
+    assert report.summary() == "\n".join([
+        "suite demo: 2 passed, 2 failed, 3 skipped (7 checks)",
+        "  (ungrouped): 2 passed, 1 failed, 3 skipped",
+        "  lemmaA: 0 passed, 1 failed, 0 skipped",
+        "  FAIL [lemmaA] z: late",
+        "  FAIL [] c: w",
+    ])
 
 
 def test_report_records_construct_and_compare():
