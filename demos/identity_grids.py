@@ -7,6 +7,8 @@ runners assert the unit values and the vanishing recurrences inside the
 windows, and record (without asserting) whatever shows up beyond them.
 """
 
+from collections import Counter
+
 from lisenum import GridSpec, binomial_moment_sum, ones_product_entry, vandermonde_chu_check
 from lisenum.identities import run_moment_identity_grid, run_ones_identity_grid
 
@@ -26,9 +28,7 @@ spec = GridSpec(k=(0, 3), n=(0, 12))
 for label, runner in (("row-product grid", run_ones_identity_grid),
                       ("moment grid", run_moment_identity_grid)):
     results = runner(spec)
-    by_status = {}
-    for r in results:
-        by_status[r.status] = by_status.get(r.status, 0) + 1
+    by_status = dict(Counter(r.status for r in results))
     print(f"\n{label}: {by_status}")
     recorded = next(r for r in results if r.status == "skipped" and "recorded" in (r.witness or ""))
     print(f"  example recorded point: {recorded.name}: {recorded.witness}")

@@ -9,7 +9,9 @@ when the denominator is 1).
 
 The module also owns the one size rule of the package, ``check_size``:
 a problem size (n, k) needs k >= 0 and n >= 2k.  Every route, the
-table and the CLI take it from here.
+table, the CLI and the ``matrices`` constructors take it from here;
+the determinant product pair (``shifted_binomial_matrix``,
+``binomial_det_product``) takes its k rule from ``check_size(2k, k)``.
 """
 
 from __future__ import annotations

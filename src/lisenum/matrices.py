@@ -1,7 +1,7 @@
 """Exact dense linear algebra and the structured binomial matrices.
 
-Four constructors cover the linear-algebra side of the counting
-problem, all of size (k+1) x (k+1):
+Three (k+1) x (k+1) matrices and two length-(k+1) vectors cover the
+linear-algebra side of the counting problem:
 
 * ``kernel_matrix(k)``      solves to the kernel column (the n = 2k case),
 * ``component_matrix(k, n)`` solves to the component column at general n,
@@ -11,10 +11,13 @@ problem, all of size (k+1) x (k+1):
   so that row . initial_vector is the total count.
 
 Each takes its size rule from ``exact.check_size``; the two that
-describe the system at n = 2k check (2k, k).  The module builds no
-check records: the consistency checks over these constructors live in
-``pipeline``, next to the suites that run them.
+describe the system at n = 2k, and the determinant product pair below,
+check (2k, k).  The module builds no check records: the consistency
+checks over these constructors live in ``pipeline``, next to the suites
+that run them.
 
+A ``Matrix`` is square by construction: every row has as many entries
+as there are rows, so the engines and solvers need no shape check.
 Entries are ``int`` or ``Fraction`` values kept as given (anything else
 raises ``ValueError``); a ``Fraction`` appears only where a rational
 enters, so the structured matrices and their products stay ``int``.
@@ -74,10 +77,12 @@ def _exact(values: Sequence[Exact], size: int, what: str) -> Vector:
 
 
 class Matrix:
-    """Immutable dense matrix of ``int``/``Fraction`` entries, kept as given.
+    """Immutable dense square matrix of ``int``/``Fraction`` entries, kept
+    as given.
 
-    The constructor takes any non-empty sequence of equally long rows,
-    stores them as tuples and refuses any other entry with ``ValueError``.
+    The constructor takes a non-empty sequence of rows, each with as
+    many entries as there are rows, stores them as tuples and refuses any
+    other shape or entry with ``ValueError``.
     """
 
     __slots__ = ("entries",)
@@ -86,8 +91,7 @@ class Matrix:
         rows = tuple(entries)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(rows[0])
-        entries = tuple(_exact(row, width, f"row {r}") for r, row in enumerate(rows, 1))
+        entries = tuple(_exact(row, len(rows), f"row {r}") for r, row in enumerate(rows, 1))
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name: str, *value) -> None:
@@ -113,10 +117,6 @@ class Matrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
 
 def _dot(u: Vector, v: Vector) -> Exact:
     return sum(x * y for x, y in zip(u, v))
@@ -124,8 +124,8 @@ def _dot(u: Vector, v: Vector) -> Exact:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    if a.rows != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.rows} times {b.rows}x{b.rows}")
     columns = tuple(zip(*b.entries))
     return Matrix(tuple(tuple(_dot(row, col) for col in columns) for row in a.entries))
 
@@ -136,7 +136,7 @@ def row_times_matrix(u: Sequence[Exact], a: Matrix) -> Vector:
 
 
 def matrix_times_vector(a: Matrix, v: Sequence[Exact]) -> Vector:
-    v = _exact(v, a.cols, "vector")
+    v = _exact(v, a.rows, "vector")
     return tuple(_dot(row, v) for row in a.entries)
 
 
@@ -181,8 +181,6 @@ def det_bareiss(a: Matrix) -> Fraction:
     t = 0), never 0.  A zero column makes that block singular, so
     det = 0.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     m, scale = integer_rows(a.entries)
     n = len(m)
     prev = sign = 1
@@ -257,8 +255,6 @@ def det_dodgson(a: Matrix) -> Fraction:
     t = c.  Finally det(m + cP) = det m (mod c) and |det m| <= h, so
     det m is the balanced residue (det(m + cP) + h) % c - h.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     m, scale = integer_rows(a.entries)
     if all(all(row[1:n - 1]) for row in m[1:n - 1]):
@@ -293,8 +289,6 @@ def solve_bareiss(a: Matrix, v: Sequence[Exact]) -> Vector:
     no determinant engine and shares no elimination code with
     :func:`det_bareiss`, so routes 3 and 4 stay independent.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     v = _exact(v, a.rows, "right-hand side")
     n = a.rows
     m, _ = integer_rows(row + (rhs,) for row, rhs in zip(a.entries, v))
@@ -341,8 +335,6 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
     inner steps, O(k^3); route 3 solves with :func:`solve_bareiss`
     instead.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     v = _exact(v, a.rows, "right-hand side")
     d = det_bareiss(a)
     if d == 0:
@@ -458,8 +450,7 @@ def counting_row(k: int, n: int) -> Vector:
 
 def shifted_binomial_matrix(k: int, x: int, y: int) -> Matrix:
     """(k+1) x (k+1) matrix with entry (i, j) = binomial(i+j+x+y, i+x)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
+    check_size(2 * k, k)
     return Matrix(
         [
             [binomial(i + j + x + y, i + x) for j in range(1, k + 2)]
@@ -476,8 +467,7 @@ def binomial_det_product(k: int, x: int, y: int) -> Fraction:
     Defined only where every divisor binomial is nonzero (y >= -1 on
     integer inputs); a vanishing divisor raises and names the index.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
+    check_size(2 * k, k)
     num = den = 1
     for i in range(1, k + 2):
         divisor = binomial(i + y, 1 + y)

@@ -140,21 +140,17 @@ def count(n: int, k: int, method: str = "formula") -> int:
     """
     if method == "formula":
         return count_formula(n, k)
-    if method == "kernel":
-        return sum(components(n, k, "transfer_matrix"))
-    if method == "oracle":
-        return sum(components(n, k, "oracle"))
-    if method == "cramer":
-        total = sum(components(n, k, "cramer"))
-        if n >= k + 2:
-            via_row = dot(counting_row(k, n), initial_vector(k))
-            if via_row != total:
-                raise ArithmeticError(
-                    f"row-functional count {via_row} disagrees with "
-                    f"determinant count {total} at n={n}, k={k}"
-                )
-        return total
-    raise ValueError(f"unknown count method {method!r}; use one of {COUNT_METHODS}")
+    if method not in COUNT_METHODS:
+        raise ValueError(f"unknown count method {method!r}; use one of {COUNT_METHODS}")
+    total = sum(components(n, k, "transfer_matrix" if method == "kernel" else method))
+    if method == "cramer" and n >= k + 2:
+        via_row = dot(counting_row(k, n), initial_vector(k))
+        if via_row != total:
+            raise ArithmeticError(
+                f"row-functional count {via_row} disagrees with "
+                f"determinant count {total} at n={n}, k={k}"
+            )
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 Each mutant is an exact text replacement in one file of ``src/lisenum``
 together with the tests that should kill it.  The script copies ``src/``,
-``tests/`` and ``demos/`` into a temporary directory (several tests find
-``src/`` and ``demos/`` next to their own file), runs every named test there once unmutated,
-then applies one mutant at a time and runs its tests in a child pytest
-with the copy first on ``PYTHONPATH``.  A mutant is killed when one of
+``tests/``, ``demos/``, ``pyproject.toml`` and ``README.md`` into a
+temporary directory (several tests find ``src/``, ``demos/`` and the
+README next to their own file), runs every named test there once
+unmutated, then applies one mutant at a time and runs its tests in a
+child pytest with the copy first on ``PYTHONPATH``.  A mutant is killed when one of
 its tests fails (or the child runs past ``TIMEOUT_S``) and survives when
 they all pass.
 
 A mutant whose old text does not occur exactly once in its file is
-stale, and the script stops before running anything: a refactor has to
-carry its mutants along.  Pytest collects only ``test_*.py``, so tier-1
-does not run this file.
+stale; the script names every stale mutant and stops before running
+anything: a refactor has to carry its mutants along.  Pytest collects
+only ``test_*.py``, so tier-1 does not run this file.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 for
 a stale mutant or named tests that fail unmutated.
@@ -304,8 +305,8 @@ MUTANTS = (
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(
         "kernel-count-steps", "pipeline.py",
-        'return sum(components(n, k, "transfer_matrix"))',
-        'return sum(components(n, k, "recursion"))',
+        '"transfer_matrix" if method == "kernel"',
+        '"recursion" if method == "kernel"',
         ("tests/test_pipeline.py::test_kernel_count_takes_no_column_steps",),
     ),
     Mutant(
@@ -621,9 +622,15 @@ MUTANTS = (
     ),
     Mutant(
         "cramer-row-check-from-k-plus-3", "pipeline.py",
-        "        if n >= k + 2:\n            via_row",
-        "        if n > k + 2:\n            via_row",
+        'if method == "cramer" and n >= k + 2:',
+        'if method == "cramer" and n > k + 2:',
         ("tests/test_pipeline.py::test_cramer_count_checks_the_row_functional_from_n_equal_k_plus_2",),
+    ),
+    Mutant(
+        "cramer-row-check-every-method", "pipeline.py",
+        'if method == "cramer" and n >= k + 2:',
+        "if n >= k + 2:",
+        ("tests/test_pipeline.py::test_only_the_cramer_count_reads_the_row_functional",),
     ),
     Mutant(
         "table-one-column-refused", "pipeline.py",
@@ -749,6 +756,19 @@ MUTANTS = (
         'f"{by_group[name, SKIPPED]} failed, {by_group[name, FAIL]} skipped"',
         ("tests/test_pipeline.py::test_report_summary_labels_builder_records_ungrouped",),
     ),
+    # matrices: the square rule and the product form's size rule
+    Mutant(
+        "square-rule-from-first-row", "matrices.py",
+        '_exact(row, len(rows), f"row {r}")',
+        '_exact(row, len(rows[0]), f"row {r}")',
+        ("tests/test_matrices.py::test_matrix_is_square_by_construction",),
+    ),
+    Mutant(
+        "det-product-size-check-k-minus-1", "matrices.py",
+        "    check_size(2 * k, k)\n    num = den = 1",
+        "    check_size(2 * k, k - 1)\n    num = den = 1",
+        ("tests/test_matrices.py::test_det_product_refuses_negative_k",),
+    ),
 )
 
 
@@ -784,16 +804,18 @@ def main(names: list[str]) -> int:
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
     sources = {m.file: (ROOT / "src" / "lisenum" / m.file).read_text() for m in chosen}
-    for m in chosen:
-        if (found := sources[m.file].count(m.old)) != 1:
-            print(f"stale mutant {m.name}: its old text occurs {found} times in {m.file}",
-                  file=sys.stderr)
-            return 2
+    stale = [(m, found) for m in chosen if (found := sources[m.file].count(m.old)) != 1]
+    for m, found in stale:
+        print(f"stale mutant {m.name}: its old text occurs {found} times in {m.file}",
+              file=sys.stderr)
+    if stale:
+        return 2
     with tempfile.TemporaryDirectory(prefix="lisenum-mutants-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         every = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
         verdict, detail = run_tests(copy, every)
         if verdict != "pass":

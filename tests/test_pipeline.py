@@ -204,6 +204,12 @@ def test_cramer_count_checks_the_row_functional_from_n_equal_k_plus_2(monkeypatc
         count(4, 2, "cramer")
 
 
+@pytest.mark.parametrize("method", ["formula", "kernel", "oracle"])
+def test_only_the_cramer_count_reads_the_row_functional(monkeypatch, method):
+    monkeypatch.setattr(pipeline, "counting_row", _refuse("counting_row"))
+    assert count(4, 2, method) == 5
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
