@@ -3,9 +3,11 @@
 Subcommands: count, table, enumerate, verify.  Exit codes are stable
 for CI use: 0 success, 1 verification failure, 2 usage or domain error,
 or running out of memory.
-``enumerate`` takes its lines from ``oracle.lines``, which formats each
-head of the lazy walk once, and writes them in chunks of exactly
-``ENUMERATE_CHUNK``, one string each; only the last chunk may be shorter.
+``enumerate`` takes the text of each block of the lazy walk from
+``oracle.lines`` and writes it in chunks of exactly ``ENUMERATE_CHUNK``
+lines, one string each; only the last chunk may be shorter.  Every line
+at size n has the same length, so a chunk is a fixed number of
+characters, and the text is cut there, not line by line.
 Brute force is refused with ``pipeline.over_budget``'s reason.
 """
 
@@ -13,17 +15,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 
 from . import exact, oracle, pipeline
 from .identities import GridSpec
 
-# lines per write of enumerate: the most lines it holds at once.  About
-# 10-15 kB at n = 11..12, so the first line leaves about as early as it
-# did through print's 8 kB buffer; larger chunks delay it without making
-# the listing faster.  Blocks are packed into chunks, not written one by
-# one: at (12, 6) they average 11 lines, and each write is one system
-# call when stdout is unbuffered.
+# lines per write of enumerate.  About 10-15 kB at n = 11..12, so the
+# first line leaves about as early as it did through print's 8 kB buffer;
+# larger chunks delay it without making the listing faster.  Blocks are
+# packed into chunks, not written one by one: at (12, 6) they average 11
+# lines, and each write is one system call when stdout is unbuffered.
+# enumerate holds at most one chunk and one block (k! lines) at once.
 ENUMERATE_CHUNK = 512
 
 
@@ -94,9 +95,22 @@ def _cmd_table(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _check_oracle_budget(args.n, args.k)
-    lines, write = oracle.lines(args.n, args.k, args.prefix), sys.stdout.write
-    while chunk := list(islice(lines, ENUMERATE_CHUNK)):
-        write("\n".join(chunk) + "\n")
+    blocks, write = oracle.lines(args.n, args.k, args.prefix), sys.stdout.write
+    # a chunk's length in characters: every line at size n spells 1..n
+    size = ENUMERATE_CHUNK * (len(oracle.format_perm(range(1, args.n + 1))) + 1)
+    held, length = [], 0
+    for text in blocks:
+        held.append(text)
+        length += len(text)
+        while length >= size:
+            # the last block's first characters complete the chunk
+            cut = len(text) - (length - size)
+            held[-1] = text[:cut]
+            write("".join(held))
+            text = text[cut:]
+            held, length = [text], len(text)
+    if length:
+        write("".join(held))
     return 0
 
 

@@ -14,13 +14,18 @@ prefix entry by entry, then place the k trailing values one at a time.
 The full n! search space is never touched, and neither are most of the
 binom(n, k) * k! permutations with an increasing prefix.
 
-The walk keeps the patience-sorting tails of what it has placed
+The walk follows the patience-sorting tails of what it has placed
 (Schensted): ``tails[t]`` is the smallest value ending an increasing
 subsequence of length t+1, and the subsequence bound n-k is
 ``len(tails) <= n-k``.  After the prefix the tails are the prefix
 itself, already n-k long, so a trailing value v keeps the permutation
 in the class exactly when v < tails[-1]; it then replaces
-``tails[bisect_left(tails, v)]``, which never raises tails[-1].
+``tails[bisect_left(tails, v)]``, which never raises tails[-1].  The
+walk does not hold the tails themselves, only the position
+``bisect_left(tails, v)`` of each value v still to place, the state
+that ``_count_word`` spells as a word: placing v at position p makes v
+that tail, which moves each larger value at p to p+1 and leaves every
+other position as it was.
 
 Pruning lemma: a partial permutation whose prefix is complete and
 whose tails are still n-k long extends to a member if and only if
@@ -45,12 +50,11 @@ orders do.  Such a node is a block ``(head, free)``: the values placed,
 followed by each order of ``free``.  The walk (``_blocks``) yields
 blocks, not members, and never descends below one; a leaf is a block
 with nothing free.  ``permutations(free)`` lists a block lazily and in
-lexicographic order, so members still come one at a time, none held
-back, not even within a root, which can have k! of them.
-``iter_class`` expands the blocks into members, and ``lines`` into
-their text, formatting each block's head once.  Only listing walks;
-counting memoizes the count below a node on its state word
-(``_count_word``), as in West's generating trees (1996).  Counting
+lexicographic order.  ``iter_class`` expands the blocks into members,
+one at a time; ``lines`` turns each block into its text, one string of
+up to k! lines (720 at k = 6), with the head formatted once.  Only
+listing walks; counting memoizes the count below a node on its state
+word (``_count_word``), as in West's generating trees (1996).  Counting
 spells the root words itself (``component_counts``): by the pruning
 lemma a live prefix ends in n, so the first entry and the values
 left to place between them fix it, and dead roots are never formed.
@@ -133,33 +137,40 @@ def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], list[int]]]:
         yield prefix, [v for v in range(1, n + 1) if v not in taken]
 
 
-def _place(tails: list[int], rest: list[int], placed: list[int]) -> Iterator[_Block]:
+def _place(last: int, positions: list[int], rest: list[int], placed: list[int]) -> Iterator[_Block]:
     """Blocks of the members that continue ``placed``, in lexicographic
     order.
 
-    ``tails`` are the patience tails of ``placed`` and ``rest`` the
-    sorted values still to place; ``tails`` and ``placed`` are restored
-    before returning.  By the pruning lemma there are none when a value
-    in ``rest`` lies above tails[-1]; by the free-tail lemma the node is
-    one block when each ``rest[i]`` lands on tail len(tails) - m + i or
-    before it, m = len(rest).
+    ``rest`` holds the sorted values still to place and ``positions``
+    their ``bisect_left`` positions in the patience tails of ``placed``,
+    whose last tail is at ``last``; ``placed`` is restored before
+    returning.  By the pruning lemma there are none when a value lies
+    above the last tail; by the free-tail lemma the node is one block
+    when each ``rest[i]`` lands on tail last + 1 - m + i or before it,
+    m = len(rest).  Placing ``rest[j]`` at ``pos`` makes it that tail,
+    so each later value at ``pos`` moves to pos + 1 and every other
+    value keeps its position.
     """
-    if rest and rest[-1] > tails[-1]:
+    if positions and positions[-1] > last:
         return
-    positions = [bisect_left(tails, v) for v in rest]
-    if all(map(le, positions, range(len(tails) - len(rest), len(tails)))):
+    m = len(rest)
+    if all(map(le, positions, range(last + 1 - m, last + 1))):
         yield tuple(placed), tuple(rest)
         return
-    last = len(tails) - 1
-    for j, (v, pos) in enumerate(zip(rest, positions)):
-        if pos == last and v != rest[-1]:
-            # v would become tails[-1] below the largest value left
+    for j in range(m):
+        pos = positions[j]
+        if pos == last and j != m - 1:
+            # rest[j] would become the last tail below the largest value left
             continue
-        old, tails[pos] = tails[pos], v
-        placed.append(v)
-        yield from _place(tails, rest[:j] + rest[j + 1:], placed)
+        child, left = positions.copy(), rest.copy()
+        del child[j]
+        i = j
+        while i < m - 1 and child[i] == pos:
+            child[i] = pos + 1
+            i += 1
+        placed.append(left.pop(j))
+        yield from _place(last, child, left, placed)
         placed.pop()
-        tails[pos] = old
 
 
 @cache
@@ -199,7 +210,7 @@ def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
         block
         for first in firsts
         for root, rest in _roots(n, k, first)
-        for block in _place(list(root), rest, root)
+        for block in _place(n - k - 1, [bisect_left(root, v) for v in rest], rest, root)
     )
 
 
@@ -218,18 +229,23 @@ def iter_class(n: int, k: int, prefix: int | None = None) -> Iterator[Perm]:
 
 
 def lines(n: int, k: int, prefix: int | None = None) -> Iterator[str]:
-    """``format_perm`` of each member of ``iter_class(n, k, prefix)``,
-    without newlines, in the same order, as lazily and with the same
-    argument check: each block's head is formatted once, and each order
-    of its free values is appended to it.
+    """The listing text of ``iter_class(n, k, prefix)``, one item per
+    block of ``_blocks(n, k, prefix)``: the ``format_perm`` line of each
+    of its members, each ending in a newline, in the same order, as
+    lazily and with the same argument check.  Each block's head is
+    formatted once, and its lines are one join over the orders of its
+    free values.
     """
     blocks, sep = _blocks(n, k, prefix), _separator(n)
+    # each value's text, looked up instead of converted at every use
+    name = list(map(str, range(n + 1))).__getitem__
 
-    def block_lines(head: Perm, free: Perm) -> Iterator[str]:
-        text = sep.join(map(str, head)) + (sep if free else "")
-        return map(text.__add__, map(sep.join, permutations(map(str, free))))
+    def block_text(head: Perm, free: Perm) -> str:
+        text = sep.join(map(name, head)) + (sep if free else "")
+        body = ("\n" + text).join(map(sep.join, permutations(map(name, free))))
+        return f"{text}{body}\n"
 
-    return chain.from_iterable(starmap(block_lines, blocks))
+    return starmap(block_text, blocks)
 
 
 def component_counts(n: int, k: int) -> list[int]:

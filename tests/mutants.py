@@ -70,21 +70,33 @@ MUTANTS = (
     # route 2: the walk's pruning lemma, free-tail lemma and skip rule
     Mutant(
         "place-pruning", "oracle.py",
-        "if rest and rest[-1] > tails[-1]:",
-        "if rest and rest[-1] > tails[-1] + 1:",
+        "if positions and positions[-1] > last:",
+        "if positions and positions[-1] > last + 1:",
         ("tests/test_oracle.py::test_enumerate_small_goldens",),
     ),
     Mutant(
         "place-free-tail-slack", "oracle.py",
-        "range(len(tails) - len(rest), len(tails))",
-        "[len(tails)] * len(rest)",
+        "range(last + 1 - m, last + 1)",
+        "[last + 1] * m",
         ("tests/test_oracle.py::test_blocks_are_free_tails",),
     ),
     Mutant(
         "place-skips-largest-too", "oracle.py",
-        "if pos == last and v != rest[-1]:",
+        "if pos == last and j != m - 1:",
         "if pos == last:",
         ("tests/test_oracle.py::test_blocks_are_free_tails",),
+    ),
+    Mutant(
+        "place-shifts-later-positions", "oracle.py",
+        "while i < m - 1 and child[i] == pos:",
+        "while i < m - 1 and child[i] >= pos:",
+        ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
+    ),
+    Mutant(
+        "blocks-last-tail-one-late", "oracle.py",
+        "_place(n - k - 1, [bisect_left(root, v) for v in rest], rest, root)",
+        "_place(n - k, [bisect_left(root, v) for v in rest], rest, root)",
+        ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
     ),
     Mutant(
         "iter-class-drops-prefix", "oracle.py",
@@ -95,14 +107,20 @@ MUTANTS = (
     # route 2's listing text: one head per block, arguments checked on the call
     Mutant(
         "enumerate-trailing-separator", "oracle.py",
-        'text = sep.join(map(str, head)) + (sep if free else "")',
-        "text = sep.join(map(str, head)) + sep",
+        'text = sep.join(map(name, head)) + (sep if free else "")',
+        "text = sep.join(map(name, head)) + sep",
+        ("tests/test_cli.py::test_enumerate_prints_format_perm_lines",),
+    ),
+    Mutant(
+        "block-text-drops-last-newline", "oracle.py",
+        'return f"{text}{body}\\n"',
+        'return f"{text}{body}"',
         ("tests/test_cli.py::test_enumerate_prints_format_perm_lines",),
     ),
     Mutant(
         "lines-check-when-read", "oracle.py",
-        "    return chain.from_iterable(starmap(block_lines, blocks))\n",
-        "    yield from chain.from_iterable(starmap(block_lines, blocks))\n",
+        "    return starmap(block_text, blocks)\n",
+        "    yield from starmap(block_text, blocks)\n",
         ("tests/test_oracle.py::test_lines_check_the_prefix_when_called",),
     ),
     # the package API: __all__ is every public name the imports bind
@@ -554,11 +572,14 @@ MUTANTS = (
     ),
     # cli: listing's chunks, the budget it asks and its reason, verify's bounds
     Mutant(
-        "enumerate-write-per-line", "cli.py",
-        "    while chunk := list(islice(lines, ENUMERATE_CHUNK)):\n"
-        '        write("\\n".join(chunk) + "\\n")\n',
-        "    for line in lines:\n"
-        '        write(line + "\\n")\n',
+        "enumerate-write-per-block", "cli.py",
+        "    held, length = [], 0\n"
+        "    for text in blocks:\n"
+        "        held.append(text)\n",
+        "    held, length = [], 0\n"
+        "    for text in blocks:\n"
+        "        write(text)\n"
+        "        continue\n",
         ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
     ),
     Mutant(
@@ -707,7 +728,7 @@ MUTANTS = (
     ),
     Mutant(
         "place-no-dead-child-skip", "oracle.py",
-        "if pos == last and v != rest[-1]:",
+        "if pos == last and j != m - 1:",
         "if False:",
         ("tests/test_oracle.py::test_walk_skips_the_children_the_pruning_lemma_cuts",),
     ),
@@ -736,6 +757,18 @@ MUTANTS = (
         "}, indent=2, sort_keys=True)",
         "}, indent=3, sort_keys=True)",
         ("tests/test_cli.py::test_table_json_bytes",),
+    ),
+    Mutant(
+        "enumerate-chunk-drops-newline", "cli.py",
+        "(len(oracle.format_perm(range(1, args.n + 1))) + 1)",
+        "len(oracle.format_perm(range(1, args.n + 1)))",
+        ("tests/test_cli.py::test_enumerate_cuts_writes_at_512_lines",),
+    ),
+    Mutant(
+        "enumerate-cut-one-late", "cli.py",
+        "cut = len(text) - (length - size)",
+        "cut = len(text) - (length - size) + 1",
+        ("tests/test_cli.py::test_enumerate_cuts_writes_at_512_lines",),
     ),
     Mutant(
         "enumerate-chunk-513", "cli.py",

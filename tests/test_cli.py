@@ -202,8 +202,9 @@ def test_enumerate_prints_format_perm_lines(capsys, n, k, prefix):
     if prefix is not None:
         argv += ["--prefix", str(prefix)]
     members = [oracle.format_perm(mu) for mu in oracle.iter_class(n, k, prefix)]
-    assert list(oracle.lines(n, k, prefix)) == members
-    assert run_cli(capsys, *argv) == (0, "".join(line + "\n" for line in members), "")
+    text = "".join(line + "\n" for line in members)
+    assert "".join(oracle.lines(n, k, prefix)) == text
+    assert run_cli(capsys, *argv) == (0, text, "")
 
 
 # sha256 of `enumerate --n 11 --k 5`: 24,694 lines, several chunks
@@ -219,6 +220,28 @@ def test_enumerate_writes_pinned_stdout_a_chunk_at_a_time(monkeypatch):
     assert all(text.count("\n") == 512 for text in writes[:-1])
     assert 0 < writes[-1].count("\n") <= 512
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == ENUMERATE_11_5_SHA256
+
+
+@pytest.mark.parametrize(
+    "n, k, prefix, lines_per_write",
+    [
+        (9, 4, None, [512, 512, 381]),  # single-digit lines
+        (12, 6, 7, [512, 208]),  # one block of 720 lines
+        (4, 2, 4, []),  # nothing to list: no write at all
+        (0, 0, None, [1]),  # one empty line
+    ],
+)
+def test_enumerate_cuts_writes_at_512_lines(monkeypatch, n, k, prefix, lines_per_write):
+    argv = ["enumerate", "--n", str(n), "--k", str(k)]
+    if prefix is not None:
+        argv += ["--prefix", str(prefix)]
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(argv) == 0
+    assert [text.count("\n") for text in writes] == lines_per_write
+    assert all(text.endswith("\n") for text in writes)
+    members = oracle.iter_class(n, k, prefix)
+    assert "".join(writes) == "".join(oracle.format_perm(mu) + "\n" for mu in members)
 
 
 def test_enumerate_into_closed_pipe_exits_2():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
@@ -204,6 +205,29 @@ def test_walk_skips_the_children_the_pruning_lemma_cuts(monkeypatch):
     monkeypatch.setattr(oracle, "_place", counted)
     assert len(list(oracle._blocks(11, 5))) == 2210
     assert len(calls) == 4275
+
+
+def test_walk_carries_the_tail_positions(monkeypatch):
+    # at every node, each value left sits where a fresh bisect_left puts
+    # it among the patience tails of the values placed
+    nodes, real = [], oracle._place
+
+    def checked(last, positions, rest, placed):
+        tails = []
+        for v in placed:
+            pos = bisect_left(tails, v)
+            tails[pos:pos + 1] = [v]
+        assert last == len(tails) - 1, (placed, last)
+        assert positions == [bisect_left(tails, v) for v in rest], (placed, rest)
+        nodes.append(len(rest))
+        return real(last, positions, rest, placed)
+
+    monkeypatch.setattr(oracle, "_place", checked)
+    for n in range(10):
+        for k in range(n // 2 + 1):
+            for prefix in (None, *range(1, n + 1)):
+                list(oracle._blocks(n, k, prefix))
+    assert len(nodes) == 2222 and max(nodes) == 4
 
 
 def test_counting_never_walks(monkeypatch):
