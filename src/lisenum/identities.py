@@ -28,9 +28,15 @@ compares each point's sum with its closed form without building a record
 unless the point fails.
 
 Every sum over j = 1..k+1 of weight(j)/(n-j) is built from integer
-weights as one Fraction over the denominator prod (n-j), with each sign
-taken by parity, so a value is exact for any integer arguments, negative
-exponents included.
+weights as one integer numerator over the denominator prod (n-j), with
+each sign taken by parity, so a value is exact for any integer
+arguments, negative exponents included; the sums reduce it to a
+``Fraction`` once.  The residual checks reduce nothing: each residual is
+one integer numerator over the product of its terms' denominators, and
+the grid runners compare the numerators with 0.  A ``Fraction`` is built
+only for a witness, a failure or a recorded probe.  The public
+``*_recurrence_residuals`` functions return ``Fraction`` pairs, and
+``moment_identity_check`` compares its two sides by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -72,16 +78,28 @@ def _convolution_sum(x: int, col_a: list[int], col_b: list[int]) -> int:
     return sum(map(mul, col_a[:x + 1], col_b[x::-1]))
 
 
-def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> Fraction:
-    """sum_{j=1..k+1} weight(j)/(n-j) for integer weights, built as one
-    Fraction over the denominator prod_{j=1..k+1} (n-j)."""
+def _sum_over_poles(k: int, n: int, weight: Callable[[int], int]) -> tuple[int, int]:
+    """sum_{j=1..k+1} weight(j)/(n-j) for integer weights, as the
+    unreduced pair (numerator, prod_{j=1..k+1} (n-j))."""
     if 1 <= n <= k + 1:
         raise ValueError(f"denominator n-j vanishes in 1..k+1: n={n}, k={k}")
     numerator, denominator = 0, 1
     for j in range(1, k + 2):
         numerator = numerator * (n - j) + weight(j) * denominator
         denominator *= n - j
-    return Fraction(numerator, denominator)
+    return numerator, denominator
+
+
+def _combine(*terms: tuple[int, Fraction]) -> tuple[int, int]:
+    """sum c * x over the ``(c, x)`` terms, for integer c and exact x, as
+    the unreduced pair (numerator, product of the x denominators): integer
+    work only, with no gcd."""
+    numerator, denominator = 0, 1
+    for c, x in terms:
+        q = x.denominator
+        numerator = numerator * q + c * x.numerator * denominator
+        denominator *= q
+    return numerator, denominator
 
 
 def ones_product_entry(k: int, r: int, n: int) -> Fraction:
@@ -92,9 +110,9 @@ def ones_product_entry(k: int, r: int, n: int) -> Fraction:
     1..k+1.
     """
     scale = (n - 1) * binomial(n - 2, k)
-    return _sum_over_poles(k, n, lambda j: (
+    return Fraction(*_sum_over_poles(k, n, lambda j: (
         (-1) ** ((k + r + j) % 2) * scale * binomial(k, j - 1) * binomial(n - j - 1, r - 1)
-    ))
+    )))
 
 
 def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
@@ -108,19 +126,22 @@ def ones_entry_recurrence_residuals(k: int, r: int, n: int) -> tuple[Fraction, F
     with f = ones_product_entry at fixed n.  Raises when a referenced
     value is undefined (the first residual needs n outside 1..k+3).
     """
-    return _ones_residuals(ones_product_entry, k, r, n)
+    first, second = _ones_residuals(ones_product_entry, k, r, n)
+    return Fraction(*first), Fraction(*second)
 
 
 def _ones_residuals(
     f: Callable[[int, int, int], Fraction], k: int, r: int, n: int
-) -> tuple[Fraction, Fraction]:
-    """The residuals of :func:`ones_entry_recurrence_residuals` through f."""
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The residuals of :func:`ones_entry_recurrence_residuals` through f,
+    each as an unreduced (numerator, denominator) pair: a (x1 - x0) -
+    b (x2 - x1) is (a + b) x1 - a x0 - b x2."""
     # each term once, in the order the two residuals first reference them
     k1, here, k2 = f(k + 1, r, n), f(k, r, n), f(k + 2, r, n)
     r1, r2 = f(k, r + 1, n), f(k, r + 2, n)
-    first = (k - r + 2) * (n - k - 2) * (k1 - here) - (k + 2) * (n - k - 3) * (k2 - k1)
-    second = r * (n - r - 1) * (r1 - here) - (k - r) * (r + 1) * (r2 - r1)
-    return first, second
+    a, b = (k - r + 2) * (n - k - 2), (k + 2) * (n - k - 3)
+    c, d = r * (n - r - 1), (k - r) * (r + 1)
+    return _combine((a + b, k1), (-a, here), (-b, k2)), _combine((c + d, r1), (-c, here), (-d, r2))
 
 
 def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
@@ -131,13 +152,13 @@ def binomial_moment_sum(k: int, b: int, n: int) -> Fraction:
     n outside 1..k+1.
     """
     scale = (n - 1) * binomial(n - 2, k)
-    total = _sum_over_poles(k, n, lambda j: (
+    numerator, denominator = _sum_over_poles(k, n, lambda j: (
         (-1) ** ((k + j - 1) % 2) * scale * binomial(k, j - 1) * binomial(j, b)
     ))
     nb = binomial(n, b)
     if nb == 0:
         raise ValueError(f"binomial({n}, {b}) vanishes; the normalized sum is undefined")
-    return total / nb
+    return Fraction(numerator, denominator * nb)
 
 
 def moment_sum_recurrence_residuals(k: int, b: int, n: int) -> tuple[Fraction, Fraction]:
@@ -149,15 +170,17 @@ def moment_sum_recurrence_residuals(k: int, b: int, n: int) -> tuple[Fraction, F
     second probes outside that window when b = k and is then recorded by
     the grid runner instead of asserted.
     """
-    return _moment_residuals(binomial_moment_sum, k, b, n)
+    first, second = _moment_residuals(binomial_moment_sum, k, b, n)
+    return Fraction(*first), Fraction(*second)
 
 
 def _moment_residuals(
     g: Callable[[int, int, int], Fraction], k: int, b: int, n: int
-) -> tuple[Fraction, Fraction]:
-    """The residuals of :func:`moment_sum_recurrence_residuals` through g."""
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The residuals of :func:`moment_sum_recurrence_residuals` through g,
+    each as an unreduced (numerator, denominator) pair."""
     up, here = g(k + 1, b, n), g(k, b, n)
-    return up - here, g(k, b + 1, n) - here
+    return _combine((1, up), (-1, here)), _combine((1, g(k, b + 1, n)), (-1, here))
 
 
 def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
@@ -173,11 +196,21 @@ def moment_identity_check(k: int, b: int, n: int) -> CheckResult:
     """
     if not 0 <= b <= k:
         raise ValueError(f"identity stated only for 0 <= b <= k, got b={b}, k={k}")
+    (p, q), (s, t) = _moment_sides(k, b, n)
+    name = f"moment-identity k={k} b={b} n={n}"
+    # q and t are nonzero, so p/q == s/t exactly when p t == s q
+    if p * t == s * q:
+        return passed(name)
+    return failed(name, f"lhs={Fraction(p, q)} rhs={Fraction(s, t)}")
+
+
+def _moment_sides(k: int, b: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both sides of :func:`moment_identity_check`, each as an unreduced
+    (numerator, denominator) pair."""
     lhs = _sum_over_poles(k, n, lambda j: (
         (-1) ** ((j - 1) % 2) * binomial(k, j - 1) * binomial(j, b)
     ))
-    rhs = Fraction((-1) ** k * binomial(n, b), (n - 1) * binomial(n - 2, k))
-    return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lhs={got} rhs={want}")
+    return lhs, ((-1) ** k * binomial(n, b), (n - 1) * binomial(n - 2, k))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +309,15 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 ))
                 rname = f"ones-recurrence k={k} r={r} n={n}"
                 try:
-                    residuals = _ones_residuals(f, k, r, n)
+                    first, second = _ones_residuals(f, k, r, n)
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}"))
                     continue
+                if inside and not (first[0] or second[0]):
+                    results.append(passed(rname))
+                    continue
                 results.append(expect_within(
-                    rname, inside, residuals, (0, 0),
+                    rname, inside, (Fraction(*first), Fraction(*second)), (0, 0),
                     "residuals ({got[0]}, {got[1]})",
                     "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
                 ))
@@ -316,13 +352,15 @@ def run_moment_identity_grid(spec: GridSpec) -> list[CheckResult]:
                     continue
                 if b > k:
                     check = skipped(rname, "outside 0 <= b <= k, recorded residuals "
-                                    f"({first}, {second})")
-                elif first != 0:
-                    check = failed(rname, f"k-direction residual {first}")
+                                    f"({Fraction(*first)}, {Fraction(*second)})")
+                elif first[0]:
+                    check = failed(rname, f"k-direction residual {Fraction(*first)}")
                 elif b == k:  # the b-direction difference reaches b+1 > k
                     check = skipped(rname, "b-direction probes b+1 > k, recorded residual "
-                                    f"{second}; k-direction residual 0")
+                                    f"{Fraction(*second)}; k-direction residual 0")
+                elif second[0]:
+                    check = failed(rname, f"b-direction residual {Fraction(*second)}")
                 else:
-                    check = expect(rname, second, 0, "b-direction residual {got}")
+                    check = passed(rname)
                 results.append(check)
     return results

@@ -12,15 +12,21 @@ linear-algebra side of the counting problem:
 
 Each takes its size rule from ``exact.check_size``; the two that
 describe the system at n = 2k, and the determinant product pair below,
-check (2k, k).  The module builds no check records: the consistency
-checks over these constructors live in ``pipeline``, next to the suites
-that run them.
+check (2k, k).  The five are memoized for the life of the process: each
+argument tuple is built once, and every caller shares the one immutable
+``Matrix`` or tuple.  A refusal is not cached, so it raises on every
+call.  The module builds no check records: the consistency checks over
+these constructors live in ``pipeline``, next to the suites that run
+them.
 
 A ``Matrix`` is square by construction: every row has as many entries
 as there are rows, so the engines and solvers need no shape check.
 Entries are ``int`` or ``Fraction`` values kept as given (anything else
 raises ``ValueError``); a ``Fraction`` appears only where a rational
 enters, so the structured matrices and their products stay ``int``.
+``row_times_matrix`` and ``dot`` clear a rational row's denominators
+once (``exact.integer_rows``) and take integer dot products, with one
+``Fraction`` per result.
 
 Determinants come from two independent engines, fraction-free Bareiss
 elimination and Dodgson condensation, which share no code and are
@@ -50,8 +56,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import binomial, check_size, exact_div, integer_rows
 
@@ -130,9 +137,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(tuple(_dot(row, col) for col in columns) for row in a.entries))
 
 
+def _row_dots(u: Vector, columns: Iterable[Vector]) -> Vector:
+    """u . c for each of ``columns``.  A row of ``int`` entries is
+    multiplied as it is; a row holding a ``Fraction`` is cleared of
+    denominators once (``exact.integer_rows``), so each product is one
+    integer dot product over the row's scale: one ``Fraction`` per
+    result."""
+    if set(map(type, u)) == {int}:
+        return tuple(_dot(u, c) for c in columns)
+    (row,), scale = integer_rows((u,))
+    return tuple(Fraction(_dot(row, c), scale) for c in columns)
+
+
 def row_times_matrix(u: Sequence[Exact], a: Matrix) -> Vector:
-    u = _exact(u, a.rows, "row vector")
-    return tuple(_dot(u, col) for col in zip(*a.entries))
+    return _row_dots(_exact(u, a.rows, "row vector"), zip(*a.entries))
 
 
 def matrix_times_vector(a: Matrix, v: Sequence[Exact]) -> Vector:
@@ -142,7 +160,7 @@ def matrix_times_vector(a: Matrix, v: Sequence[Exact]) -> Vector:
 
 def dot(u: Sequence[Exact], v: Sequence[Exact]) -> Exact:
     u = _exact(u, len(v), "first vector")
-    return _dot(u, _exact(v, len(u), "second vector"))
+    return _row_dots(u, (_exact(v, len(u), "second vector"),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +379,24 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
 # structured constructors
 # ---------------------------------------------------------------------------
 
+def _memoized(build):
+    """``build`` memoized for the life of the process: each argument tuple
+    is built once (``functools.lru_cache`` with no bound, typed, so
+    ``2.0`` or ``True`` is not served the value of ``2``).  A refusal is
+    not cached, so it raises on every call.  The result is a plain
+    function, so the benchmark's tracer still finds and times it, with
+    the cache's ``cache_clear`` and ``cache_info``."""
+    memo = lru_cache(maxsize=None, typed=True)(build)
+
+    @wraps(build)
+    def memoized(*args, **kwargs):
+        return memo(*args, **kwargs)
+
+    memoized.cache_clear, memoized.cache_info = memo.cache_clear, memo.cache_info
+    return memoized
+
+
+@_memoized
 def transfer_matrix(n: int, k: int) -> Matrix:
     """Advance matrix from the kernel column to size n.
 
@@ -377,6 +413,7 @@ def transfer_matrix(n: int, k: int) -> Matrix:
     )
 
 
+@_memoized
 def kernel_matrix(k: int) -> Matrix:
     """Matrix whose solve against the initial vector yields the kernel.
 
@@ -393,6 +430,7 @@ def kernel_matrix(k: int) -> Matrix:
     )
 
 
+@_memoized
 def component_matrix(k: int, n: int) -> Matrix:
     """Matrix whose solve against the initial vector yields the components.
 
@@ -407,6 +445,7 @@ def component_matrix(k: int, n: int) -> Matrix:
     )
 
 
+@_memoized
 def initial_vector(k: int) -> tuple[int, ...]:
     """Alternating-binomial right-hand side, entry i = 1..k+1:
 
@@ -422,6 +461,7 @@ def initial_vector(k: int) -> tuple[int, ...]:
     )
 
 
+@_memoized
 def counting_row(k: int, n: int) -> Vector:
     """Row u with u . component_matrix(k, n) = (1, ..., 1).
 
@@ -435,11 +475,9 @@ def counting_row(k: int, n: int) -> Vector:
             f"counting row undefined for n <= k+1: denominator n-j vanishes at j={n} "
             f"(n={n}, k={k})"
         )
+    scale = (n - 1) * binomial(n - 2, k)
     return tuple(
-        (-1) ** (k + 1 - j)
-        * binomial(n - 2, k)
-        * binomial(k, j - 1)
-        * Fraction(n - 1, n - j)
+        Fraction((-1) ** (k + 1 - j) * scale * binomial(k, j - 1), n - j)
         for j in range(1, k + 2)
     )
 

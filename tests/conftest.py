@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-TIME_CAP_S = 60  # the slowest test takes about 1 s
+TIME_CAP_S = 60  # the slowest test, test_out_of_memory_exits_2[argv1], takes about 2-3 s
 
 
 class TimeCapExceeded(BaseException):

@@ -263,8 +263,8 @@ MUTANTS = (
     ),
     Mutant(
         "ones-residual-wrong-base", "identities.py",
-        "(k2 - k1)",
-        "(k2 - here)",
+        "(-b, k2)",
+        "(-b, k1)",
         ("tests/test_identities.py::test_ones_recurrence_residuals",),
     ),
     # identities: the per-run cache's key, reach and lifetime
@@ -276,8 +276,8 @@ MUTANTS = (
     ),
     Mutant(
         "ones-residuals-skip-memo", "identities.py",
-        "residuals = _ones_residuals(f, k, r, n)",
-        "residuals = _ones_residuals(ones_product_entry, k, r, n)",
+        "first, second = _ones_residuals(f, k, r, n)",
+        "first, second = _ones_residuals(ones_product_entry, k, r, n)",
         ("tests/test_identities.py::test_grid_run_evaluates_each_defined_value_once",),
     ),
     Mutant(
@@ -516,19 +516,19 @@ MUTANTS = (
     # identities: the moment recurrence's branches, conditions swapped
     Mutant(
         "moment-branches-swapped", "identities.py",
-        "elif first != 0:\n"
-        '                    check = failed(rname, f"k-direction residual {first}")\n'
+        "elif first[0]:\n"
+        '                    check = failed(rname, f"k-direction residual {Fraction(*first)}")\n'
         "                elif b == k:",
         "elif b == k:\n"
-        '                    check = failed(rname, f"k-direction residual {first}")\n'
-        "                elif first != 0:",
+        '                    check = failed(rname, f"k-direction residual {Fraction(*first)}")\n'
+        "                elif first[0]:",
         ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
     ),
     # identities: the right side of the two-sided moment identity
     Mutant(
         "moment-identity-rhs-unsigned", "identities.py",
-        "rhs = Fraction((-1) ** k * binomial(n, b)",
-        "rhs = Fraction(binomial(n, b)",
+        "return lhs, ((-1) ** k * binomial(n, b)",
+        "return lhs, (binomial(n, b)",
         ("tests/test_identities.py::test_sums_match_term_by_term_references",),
     ),
     Mutant(
@@ -801,6 +801,99 @@ MUTANTS = (
         "    check_size(2 * k, k)\n    num = den = 1",
         "    check_size(2 * k, k - 1)\n    num = den = 1",
         ("tests/test_matrices.py::test_det_product_refuses_negative_k",),
+    ),
+    # matrices: the constructors' per-process memo
+    Mutant(
+        "memo-rebuilds-each-call", "matrices.py",
+        "        return memo(*args, **kwargs)",
+        "        return build(*args, **kwargs)",
+        ("tests/test_matrices.py::test_constructors_build_each_value_once",),
+    ),
+    Mutant(
+        "memo-untyped", "matrices.py",
+        "lru_cache(maxsize=None, typed=True)",
+        "lru_cache(maxsize=None)",
+        ("tests/test_matrices.py::test_constructors_build_each_value_once",),
+    ),
+    Mutant(
+        "counting-row-drops-pole-factor", "matrices.py",
+        "    scale = (n - 1) * binomial(n - 2, k)\n    return tuple(\n        Fraction(",
+        "    scale = binomial(n - 2, k)\n    return tuple(\n        Fraction(",
+        ("tests/test_matrices.py::test_counting_row_values",),
+    ),
+    # matrices: a rational row is cleared of denominators once
+    Mutant(
+        "row-dots-wrong-scale", "matrices.py",
+        "Fraction(_dot(row, c), scale)",
+        "Fraction(_dot(row, c))",
+        ("tests/test_matrices.py::test_rationals_are_kept_and_promote",),
+    ),
+    Mutant(
+        "row-dots-no-int-path", "matrices.py",
+        "    if set(map(type, u)) == {int}:\n        return tuple(_dot(u, c) for c in columns)\n",
+        "",
+        ("tests/test_matrices.py::test_structured_matrices_and_products_hold_ints",),
+    ),
+    # identities: integer numerators over the product of the denominators
+    Mutant(
+        "poles-pair-drops-sign", "identities.py",
+        "        denominator *= n - j\n    return numerator, denominator",
+        "        denominator *= n - j\n    return numerator, abs(denominator)",
+        ("tests/test_identities.py::test_sums_match_term_by_term_references",),
+    ),
+    Mutant(
+        "combine-drops-a-denominator", "identities.py",
+        "numerator = numerator * q + c * x.numerator * denominator",
+        "numerator = numerator + c * x.numerator * denominator",
+        ("tests/test_identities.py::test_residuals_match_fraction_arithmetic",),
+    ),
+    Mutant(
+        "ones-residual-sign-flipped", "identities.py",
+        "_combine((c + d, r1), (-c, here), (-d, r2))",
+        "_combine((c - d, r1), (-c, here), (-d, r2))",
+        ("tests/test_identities.py::test_ones_recurrence_residuals_zero_on_grid",),
+    ),
+    Mutant(
+        "ones-public-residuals-swapped", "identities.py",
+        "_ones_residuals(ones_product_entry, k, r, n)\n    return Fraction(*first), Fraction(*second)",
+        "_ones_residuals(ones_product_entry, k, r, n)\n    return Fraction(*second), Fraction(*first)",
+        ("tests/test_boundaries.py::test_grid_records_match_the_fraction_functions",),
+    ),
+    Mutant(
+        "ones-grid-reads-first-residual-only", "identities.py",
+        "if inside and not (first[0] or second[0]):",
+        "if inside and not first[0]:",
+        ("tests/test_failure_paths.py::test_ones_entry_wrong_in_window",),
+    ),
+    Mutant(
+        "moment-sum-drops-normalizer", "identities.py",
+        "Fraction(numerator, denominator * nb)",
+        "Fraction(numerator, denominator)",
+        ("tests/test_identities.py::test_moment_sum_values",),
+    ),
+    Mutant(
+        "moment-residual-wrong-base", "identities.py",
+        "return _combine((1, up), (-1, here)),",
+        "return _combine((1, up), (-1, up)),",
+        ("tests/test_failure_paths.py::test_moment_sum_wrong_k_direction",),
+    ),
+    Mutant(
+        "moment-public-residuals-swapped", "identities.py",
+        "_moment_residuals(binomial_moment_sum, k, b, n)\n    return Fraction(*first), Fraction(*second)",
+        "_moment_residuals(binomial_moment_sum, k, b, n)\n    return Fraction(*second), Fraction(*first)",
+        ("tests/test_boundaries.py::test_grid_records_match_the_fraction_functions",),
+    ),
+    Mutant(
+        "moment-grid-reads-b-denominator", "identities.py",
+        "elif second[0]:",
+        "elif second[1] == 0:",
+        ("tests/test_failure_paths.py::test_moment_sum_wrong_b_direction",),
+    ),
+    Mutant(
+        "moment-identity-cross-product-flipped", "identities.py",
+        "if p * t == s * q:",
+        "if p * q == s * t:",
+        ("tests/test_identities.py::test_moment_identity_check_values",),
     ),
 )
 

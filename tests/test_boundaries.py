@@ -4,20 +4,24 @@ No module reads a sibling's private names.  The package exports each of
 its public names exactly once, and the CLI loads no standard module that
 its commands do not use.  Only ``run_suite`` names the suite groups, and
 the source holds no float but the report's runtime, nor does any value a
-package function returns."""
+package function returns.  On the wide grid, the identity grid runners,
+which compare integer numerators, give the records that the public
+``Fraction`` functions give."""
 
 import ast
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import lisenum
-from lisenum import GridSpec, cli, pipeline
+from lisenum import GridSpec, binomial, cli, identities, pipeline
+from lisenum.report import expect, expect_within, failed, skipped
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
 
@@ -292,3 +296,106 @@ def test_no_float_is_returned_at_runtime(capsys):
     runtime = (report._fields.index("runtime_seconds"),)
     assert flagged == [("pipeline", "run_suite", runtime)]
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# grid runners against the public Fraction functions
+# ---------------------------------------------------------------------------
+
+def reference_ones_records(spec):
+    """run_ones_identity_grid's records, built from each point's Fraction
+    value and Fraction residuals."""
+    records = []
+    for k in spec.k_values():
+        for n in spec.n_values(k):
+            for r in range(spec.r[0], spec.r[1] + 1):
+                inside = 1 <= r <= k + 1
+                records.append(expect_within(
+                    f"ones-entry k={k} r={r} n={n}", inside, identities.ones_product_entry(k, r, n),
+                    1, "value {got}", "outside 1 <= r <= k+1, recorded value {got}",
+                ))
+                rname = f"ones-recurrence k={k} r={r} n={n}"
+                try:
+                    residuals = identities.ones_entry_recurrence_residuals(k, r, n)
+                except ValueError as exc:
+                    records.append(skipped(rname, f"undefined reference: {exc}"))
+                    continue
+                records.append(expect_within(
+                    rname, inside, residuals, (0, 0), "residuals ({got[0]}, {got[1]})",
+                    "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
+                ))
+    return records
+
+
+def reference_moment_identity(k, b, n):
+    """moment_identity_check with both sides summed term by term as Fractions."""
+    lhs = sum((Fraction((-1) ** (j - 1) * binomial(k, j - 1) * binomial(j, b), n - j)
+               for j in range(1, k + 2)), Fraction(0))
+    rhs = Fraction((-1) ** k * binomial(n, b), (n - 1) * binomial(n - 2, k))
+    return expect(f"moment-identity k={k} b={b} n={n}", lhs, rhs, "lhs={got} rhs={want}")
+
+
+def reference_moment_records(spec):
+    """run_moment_identity_grid's records, built from each point's Fraction
+    value and Fraction residuals."""
+    records = []
+    for k in spec.k_values():
+        for n in spec.n_values(k):
+            for b in range(spec.b[0], spec.b[1] + 1):
+                name = f"moment-sum k={k} b={b} n={n}"
+                try:
+                    value = identities.binomial_moment_sum(k, b, n)
+                except ValueError as exc:
+                    records.append(skipped(name, f"undefined: {exc}"))
+                    continue
+                records.append(expect_within(
+                    name, b <= k, value, 1, "value {got}", "outside 0 <= b <= k, recorded value {got}",
+                ))
+                if b <= k:
+                    records.append(reference_moment_identity(k, b, n))
+                rname = f"moment-recurrence k={k} b={b} n={n}"
+                try:
+                    first, second = identities.moment_sum_recurrence_residuals(k, b, n)
+                except ValueError as exc:
+                    records.append(skipped(rname, f"undefined reference: {exc}"))
+                    continue
+                if b > k:
+                    records.append(skipped(
+                        rname, f"outside 0 <= b <= k, recorded residuals ({first}, {second})"))
+                elif first != 0:
+                    records.append(failed(rname, f"k-direction residual {first}"))
+                elif b == k:
+                    records.append(skipped(rname, "b-direction probes b+1 > k, recorded residual "
+                                           f"{second}; k-direction residual 0"))
+                else:
+                    records.append(expect(rname, second, 0, "b-direction residual {got}"))
+    return records
+
+
+def planted_ones(real):
+    # wrong by a third at every even k, inside the window and beyond it
+    return lambda k, r, n: real(k, r, n) + (Fraction(r, 3) if k % 2 == 0 else 0)
+
+
+def planted_moment(real):
+    # one rational error at k = 2 and 3: the k-direction fails at k = 1
+    # and 3, the b-direction at k = 2
+    return lambda k, b, n: real(k, b, n) + (Fraction(b + 1, 5) if k in (2, 3) else 0)
+
+
+@pytest.mark.parametrize("plant", (False, True), ids=("as-is", "planted"))
+@pytest.mark.parametrize("name, run, reference, wrong", [
+    ("ones_product_entry", identities.run_ones_identity_grid, reference_ones_records,
+     planted_ones),
+    ("binomial_moment_sum", identities.run_moment_identity_grid, reference_moment_records,
+     planted_moment),
+], ids=("ones", "moment"))
+def test_grid_records_match_the_fraction_functions(monkeypatch, name, run, reference, wrong,
+                                                   plant):
+    if plant:
+        monkeypatch.setattr(identities, name, wrong(getattr(identities, name)))
+    records = run(WIDE_GRID)
+    assert records == reference(WIDE_GRID)
+    statuses = {c.status for c in records}
+    # the wide grid holds probes and refused points; a plant adds failures
+    assert statuses == ({"pass", "skipped", "fail"} if plant else {"pass", "skipped"})

@@ -201,9 +201,12 @@ def _outcome(fn, *args):
     return [(type(v), v, str(v)) for v in (got if isinstance(got, tuple) else (got,))]
 
 
-def test_sums_match_term_by_term_references(monkeypatch):
-    # the left side of moment_identity_check is read off the expect call
-    monkeypatch.setattr(identities, "expect", lambda name, got, want, *rest: (got, want))
+def _moment_sides(k, b, n):
+    """The two sides moment_identity_check compares, as Fractions."""
+    return tuple(Fraction(*side) for side in identities._moment_sides(k, b, n))
+
+
+def test_sums_match_term_by_term_references():
     for k in range(-1, 9):
         for n in range(-15, 41):
             for r_or_b in range(-4, 12):
@@ -211,9 +214,38 @@ def test_sums_match_term_by_term_references(monkeypatch):
                 assert _outcome(ones_product_entry, *where) == _outcome(_reference_ones, *where), where
                 assert _outcome(binomial_moment_sum, *where) == _outcome(_reference_moment, *where), where
                 if 0 <= r_or_b <= k:
-                    assert _outcome(moment_identity_check, *where) == _outcome(
-                        _reference_moment_sides, *where
-                    ), where
+                    sides = _outcome(_moment_sides, *where)
+                    assert sides == _outcome(_reference_moment_sides, *where), where
+                    if sides[0] != "error":
+                        assert moment_identity_check(*where).status == "pass", where
+
+
+def _reference_ones_residuals(k, r, n):
+    """The two recurrences as stated, in Fraction arithmetic."""
+    def f(k, r):
+        return ones_product_entry(k, r, n)
+    return (
+        (k - r + 2) * (n - k - 2) * (f(k + 1, r) - f(k, r))
+        - (k + 2) * (n - k - 3) * (f(k + 2, r) - f(k + 1, r)),
+        r * (n - r - 1) * (f(k, r + 1) - f(k, r)) - (k - r) * (r + 1) * (f(k, r + 2) - f(k, r + 1)),
+    )
+
+
+def _reference_moment_residuals(k, b, n):
+    up, here = binomial_moment_sum(k + 1, b, n), binomial_moment_sum(k, b, n)
+    return up - here, binomial_moment_sum(k, b + 1, n) - here
+
+
+def test_residuals_match_fraction_arithmetic():
+    # out of the windows the terms are rationals, so every denominator counts
+    for k in range(0, 6):
+        for n in range(-6, 17):
+            for r_or_b in range(-3, 9):
+                where = (k, r_or_b, n)
+                assert _outcome(ones_entry_recurrence_residuals, *where) == _outcome(
+                    _reference_ones_residuals, *where), where
+                assert _outcome(moment_sum_recurrence_residuals, *where) == _outcome(
+                    _reference_moment_residuals, *where), where
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,42 @@ def test_counting_row_domain_errors():
         counting_row(2, 3)  # n < 2k
 
 
+MEMOIZED = (kernel_matrix, component_matrix, transfer_matrix, initial_vector, counting_row)
+
+
+def test_constructors_build_each_value_once():
+    for build, args in zip(MEMOIZED, ((3,), (3, 9), (9, 3), (3,), (3, 9))):
+        assert build(*args) is build(*args)
+    # typed: an equal float or bool is not served the int's value
+    assert component_matrix(2, 5) is component_matrix(2, 5)
+    with pytest.raises(TypeError):
+        component_matrix(2.0, 5)
+    assert component_matrix(True, 3) is not component_matrix(1, 3)
+    assert component_matrix(True, 3) == component_matrix(1, 3)
+
+
+def test_a_refusal_is_not_memoized():
+    size = counting_row.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^n >= 2k violated: n=4, k=3$"):
+            counting_row(3, 4)
+        with pytest.raises(ValueError, match="^counting row undefined for n <= k\\+1"):
+            counting_row(1, 2)
+    assert counting_row.cache_info().currsize == size
+
+
+def test_no_engine_or_solver_writes_into_a_memoized_matrix():
+    cells = [(k, n) for k in range(6) for n in (2 * k, 2 * k + 1, 2 * k + 7)]
+    held = {(k, n): (component_matrix(k, n), initial_vector(k)) for k, n in cells}
+    for a, v in held.values():
+        det_bareiss(a), det_dodgson(a), solve_bareiss(a, v), solve_cramer(a, v)
+    for build in MEMOIZED:
+        build.cache_clear()
+    for (k, n), (a, v) in held.items():
+        fresh = component_matrix(k, n)
+        assert fresh is not a and fresh.entries == a.entries and initial_vector(k) == v, (k, n)
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
