@@ -8,7 +8,8 @@ or running out of memory.
 lines, one string each; only the last chunk may be shorter.  Every line
 at size n has the same length, so a chunk is a fixed number of
 characters, and the text is cut there, not line by line.
-Brute force is refused with ``pipeline.over_budget``'s reason.
+Brute force is refused with ``pipeline.over_budget``'s size error or
+reason.  Each subcommand binds its handler as ``run``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import exact, oracle, pipeline
+from . import oracle, pipeline
 from .identities import GridSpec
 
 # lines per write of enumerate.  About 10-15 kB at n = 11..12, so the
@@ -40,6 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print the exact class size")
+    p_count.set_defaults(run=_cmd_count)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument(
@@ -48,17 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="component table over a range of n")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--n-from", type=int, required=True)
     p_table.add_argument("--n-to", type=int, required=True)
     p_table.add_argument("--format", choices=("md", "csv", "json"), default="md")
 
     p_enum = sub.add_parser("enumerate", help="list class members one per line")
+    p_enum.set_defaults(run=_cmd_enumerate)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--k", type=int, required=True)
     p_enum.add_argument("--prefix", type=int, default=None, help="restrict to first entry")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--suite", choices=pipeline.SUITES, default="all")
     p_verify.add_argument("--k-max", type=int, default=None,
                           help=f"default {GridSpec().k[1]}")
@@ -75,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_oracle_budget(n: int, k: int) -> None:
     """Refuse brute force beyond the default candidate budget, before any output."""
-    exact.check_size(n, k)
     if why := pipeline.over_budget(n, k, pipeline.DEFAULT_BUDGET):
         raise ValueError(f"brute force at n={n}, k={k}: {why}")
 
@@ -98,19 +102,14 @@ def _cmd_enumerate(args) -> int:
     blocks, write = oracle.lines(args.n, args.k, args.prefix), sys.stdout.write
     # a chunk's length in characters: every line at size n spells 1..n
     size = ENUMERATE_CHUNK * (len(oracle.format_perm(range(1, args.n + 1))) + 1)
-    held, length = [], 0
+    pending = ""
     for text in blocks:
-        held.append(text)
-        length += len(text)
-        while length >= size:
-            # the last block's first characters complete the chunk
-            cut = len(text) - (length - size)
-            held[-1] = text[:cut]
-            write("".join(held))
-            text = text[cut:]
-            held, length = [text], len(text)
-    if length:
-        write("".join(held))
+        pending += text
+        while len(pending) >= size:
+            write(pending[:size])
+            pending = pending[size:]
+    if pending:
+        write(pending)
     return 0
 
 
@@ -137,21 +136,11 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "count": _cmd_count,
-        "table": _cmd_table,
-        "enumerate": _cmd_enumerate,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError, pipeline.ConjectureViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -313,14 +313,14 @@ def run_ones_identity_grid(spec: GridSpec) -> list[CheckResult]:
                 except ValueError as exc:
                     results.append(skipped(rname, f"undefined reference: {exc}"))
                     continue
-                if inside and not (first[0] or second[0]):
-                    results.append(passed(rname))
-                    continue
-                results.append(expect_within(
-                    rname, inside, (Fraction(*first), Fraction(*second)), (0, 0),
-                    "residuals ({got[0]}, {got[1]})",
-                    "outside 1 <= r <= k+1, recorded residuals ({got[0]}, {got[1]})",
-                ))
+                if not inside:
+                    check = skipped(rname, "outside 1 <= r <= k+1, recorded residuals "
+                                    f"({Fraction(*first)}, {Fraction(*second)})")
+                elif first[0] or second[0]:
+                    check = failed(rname, f"residuals ({Fraction(*first)}, {Fraction(*second)})")
+                else:
+                    check = passed(rname)
+                results.append(check)
     return results
 
 

@@ -231,7 +231,8 @@ def over_budget(n: int, k: int, budget: int) -> str | None:
     """Why brute force at (n, k) does not fit ``budget``, or None when it
     does: it fits when its ``oracle.candidate_count(n, k)`` candidates
     number at most ``budget``.  The reason reads
-    ``"{candidates} candidates exceeds budget {budget}"``.
+    ``"{candidates} candidates exceeds budget {budget}"``.  A size that
+    ``check_size`` refuses raises its ``ValueError`` before any pricing.
 
     This is the one budget rule, for the suites and for the CLI's
     brute-force commands alike.  ORACLE_N_CAP is not part of it: it
@@ -239,6 +240,7 @@ def over_budget(n: int, k: int, budget: int) -> str | None:
     so a single cell named on the command line is held to the budget
     alone.
     """
+    check_size(n, k)
     candidates = oracle.candidate_count(n, k)
     if candidates > budget:
         return f"{candidates} candidates exceeds budget {budget}"

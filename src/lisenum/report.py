@@ -91,33 +91,36 @@ class VerificationReport(NamedTuple):
         counts = Counter(c.status for c in self.checks)
         return {status: counts[status] for status in (PASS, FAIL, SKIPPED)}
 
-    def to_json(self) -> dict:
+    def _document(self, checks: list) -> dict:
         return {
             "suite": self.suite,
             "bounds": dict(self.bounds),
             "runtime_seconds": self.runtime_seconds,
             "totals": self.totals(),
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": checks,
         }
+
+    def to_json(self) -> dict:
+        return self._document([c.as_dict() for c in self.checks])
 
     def write_json(self, handle) -> None:
         """Write ``json.dump(self.to_json(), handle, indent=2,
         sort_keys=True)`` and a newline, byte for byte, one check at a
         time.  With an indent, ``json`` falls back to its pure-Python
-        encoder; here each check is written straight from its fields with
-        one template, since its keys ``group``, ``name``, ``status`` and
-        ``witness`` (when set) are already in sorted order.  Its strings
-        go through ``json``'s C escaper, and no per-check dict and no
-        whole-document string is built.  Only the few other fields go
-        through ``json.dumps``."""
+        encoder, so only the document without its checks goes through
+        ``json.dumps``; it is cut once at its ``"checks": []``, and the
+        checks are streamed between the two halves.  Each check is
+        written straight from its fields with one template, since its
+        keys ``group``, ``name``, ``status`` and ``witness`` (when set)
+        are already in sorted order; its strings go through ``json``'s C
+        escaper.  No per-check dict and no whole-document string is
+        built."""
         import json
         from json.encoder import encode_basestring_ascii as quote
 
-        def field(value) -> str:
-            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-
+        head, tail = json.dumps(self._document([]), indent=2, sort_keys=True).split('"checks": []')
         write = handle.write
-        write('{\n  "bounds": ' + field(self.bounds) + ',\n  "checks": ')
+        write(head + '"checks": ')
         opening = "["
         for name, status, witness, group in self.checks:
             write(f'{opening}\n    {{\n      "group": {quote(group)},\n      "name": {quote(name)},'
@@ -126,9 +129,7 @@ class VerificationReport(NamedTuple):
                   + "\n    }")
             opening = ","
         write("\n  ]" if self.checks else "[]")
-        write(',\n  "runtime_seconds": ' + field(self.runtime_seconds)
-              + ',\n  "suite": ' + field(self.suite)
-              + ',\n  "totals": ' + field(self.totals()) + "\n}\n")
+        write(tail + "\n")
 
     def summary(self) -> str:
         """Human-readable digest.  Deliberately free of timing information

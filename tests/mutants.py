@@ -573,10 +573,8 @@ MUTANTS = (
     # cli: listing's chunks, the budget it asks and its reason, verify's bounds
     Mutant(
         "enumerate-write-per-block", "cli.py",
-        "    held, length = [], 0\n"
         "    for text in blocks:\n"
-        "        held.append(text)\n",
-        "    held, length = [], 0\n"
+        "        pending += text\n",
         "    for text in blocks:\n"
         "        write(text)\n"
         "        continue\n",
@@ -715,9 +713,9 @@ MUTANTS = (
         ("tests/test_pipeline.py::test_conjecture_violation_is_loud",),
     ),
     Mutant(
-        "brute-force-budget-before-size", "cli.py",
-        "    exact.check_size(n, k)\n",
-        "",
+        "brute-force-budget-before-size", "pipeline.py",
+        "    check_size(n, k)\n    candidates = oracle.candidate_count(n, k)\n",
+        "    candidates = oracle.candidate_count(n, k)\n",
         ("tests/test_cli.py::test_brute_force_checks_the_size_before_the_budget",),
     ),
     Mutant(
@@ -766,8 +764,14 @@ MUTANTS = (
     ),
     Mutant(
         "enumerate-cut-one-late", "cli.py",
-        "cut = len(text) - (length - size)",
-        "cut = len(text) - (length - size) + 1",
+        "write(pending[:size])\n            pending = pending[size:]",
+        "write(pending[:size + 1])\n            pending = pending[size + 1:]",
+        ("tests/test_cli.py::test_enumerate_cuts_writes_at_512_lines",),
+    ),
+    Mutant(
+        "enumerate-one-chunk-per-block", "cli.py",
+        "while len(pending) >= size:",
+        "if len(pending) >= size:",
         ("tests/test_cli.py::test_enumerate_cuts_writes_at_512_lines",),
     ),
     Mutant(
@@ -775,6 +779,32 @@ MUTANTS = (
         "ENUMERATE_CHUNK = 512",
         "ENUMERATE_CHUNK = 513",
         ("tests/test_cli.py::test_enumerate_writes_pinned_stdout_a_chunk_at_a_time",),
+    ),
+    # cli: each command binds its own handler; pipeline: the size before the budget
+    Mutant(
+        "table-bound-to-count", "cli.py",
+        "p_table.set_defaults(run=_cmd_table)",
+        "p_table.set_defaults(run=_cmd_count)",
+        ("tests/test_cli.py::test_table_json_bytes",),
+    ),
+    Mutant(
+        "over-budget-prices-before-size", "pipeline.py",
+        "    check_size(n, k)\n    candidates = oracle.candidate_count(n, k)\n",
+        "    candidates = oracle.candidate_count(n, k)\n    check_size(n, k)\n",
+        ("tests/test_cli.py::test_brute_force_checks_the_size_before_the_budget",),
+    ),
+    # report: one document for to_json and the streamed file
+    Mutant(
+        "document-drops-checks", "report.py",
+        '"checks": checks,',
+        '"checks": [],',
+        ("tests/test_pipeline.py::test_report_json_shape",),
+    ),
+    Mutant(
+        "report-split-keeps-empty-checks", "report.py",
+        """.split('"checks": []')""",
+        """.split('"checks": ')""",
+        ("tests/test_cli.py::test_verify_report_file_is_the_indented_dump",),
     ),
     # report: the status tallies are Counters
     Mutant(
@@ -861,9 +891,15 @@ MUTANTS = (
     ),
     Mutant(
         "ones-grid-reads-first-residual-only", "identities.py",
-        "if inside and not (first[0] or second[0]):",
-        "if inside and not first[0]:",
+        "elif first[0] or second[0]:",
+        "elif first[0]:",
         ("tests/test_failure_paths.py::test_ones_entry_wrong_in_window",),
+    ),
+    Mutant(
+        "ones-grid-asserts-probes", "identities.py",
+        "                if not inside:\n",
+        "                if False:\n",
+        ("tests/test_failure_paths.py::test_out_of_window_probes_are_recorded",),
     ),
     Mutant(
         "moment-sum-drops-normalizer", "identities.py",
