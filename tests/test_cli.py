@@ -227,9 +227,9 @@ def test_enumerate_writes_pinned_stdout_a_chunk_at_a_time(monkeypatch):
     [
         (9, 4, None, [512, 512, 381]),  # single-digit lines
         (12, 6, 7, [512, 208]),  # one block of 720 lines
-        (12, 6, 6, [512] * 7 + [16]),  # five blocks of 720: two complete two chunks
         (4, 2, 4, []),  # nothing to list: no write at all
         (0, 0, None, [1]),  # one empty line
+        (12, 6, 6, [512] * 7 + [16]),  # five blocks of 720 lines: chunks cross block ends
     ],
 )
 def test_enumerate_cuts_writes_at_512_lines(monkeypatch, n, k, prefix, lines_per_write):
