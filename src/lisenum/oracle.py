@@ -9,8 +9,9 @@ trailing positions.
 
 Everything else in the package (closed formula, recursion, matrix
 solves) is validated against the enumeration implemented here.  It is
-a depth-first walk in lexicographic order: choose the increasing
-prefix entry by entry, then place the k trailing values one at a time.
+a depth-first walk in lexicographic order: take each increasing
+prefix that has members, then place the k trailing values one at a
+time.
 The full n! search space is never touched, and neither are most of the
 binom(n, k) * k! permutations with an increasing prefix.
 
@@ -20,55 +21,56 @@ subsequence of length t+1, and the subsequence bound n-k is
 ``len(tails) <= n-k``.  After the prefix the tails are the prefix
 itself, already n-k long, so a trailing value v keeps the permutation
 in the class exactly when v < tails[-1]; it then replaces
-``tails[bisect_left(tails, v)]``, which never raises tails[-1].  The
-walk does not hold the tails themselves, only the position
-``bisect_left(tails, v)`` of each value v still to place, the state
-that ``_count_word`` spells as a word: placing v at position p makes v
-that tail, which moves each larger value at p to p+1 and leaves every
-other position as it was.
+``tails[bisect_left(tails, v)]``, which never raises tails[-1].
+
+The walk and the count hold one node state instead of the tails: for
+each value v still to place, by increasing value, its distance
+``last - bisect_left(tails, v)`` below the last tail, last = n-k-1.
+The entries never rise.  Placing the j-th value makes it the tail at
+its position, so its entry goes and each later entry equal to it falls
+by one; the others stay (``_children``).  The walk's choices depend on
+comparisons alone, so what lies below a node depends on its state
+only.
 
 Pruning lemma: a partial permutation whose prefix is complete and
 whose tails are still n-k long extends to a member if and only if
-every value still to place lies below tails[-1].  If one value lies
-above, tails[-1] only falls until it is placed, and placing it
-appends.  If none does, placing the largest value left keeps the
-condition.  In particular the prefix ends in n.
-
-The walk cuts every node that breaks the condition, so each node it
-keeps has a member below it.  Before it recurses it also skips a value
-v whose ``bisect_left`` position is the last tail, unless v is the
-largest value left: v would become tails[-1] below a value still to
-place, a child the pruning lemma cuts at once.
+every value still to place lies below tails[-1], that is, when the
+last entry is not below 0.  If one value lies above, tails[-1] only
+falls until it is placed, and placing it appends.  If none does,
+placing the largest value left keeps the condition.  In particular a
+live prefix ends in n, and those are the only roots (``_roots``).
+A child whose last entry is below 0 is never visited (``_children``),
+so each node the walk enters has a member below it.
 
 Free-tail lemma: a node with m values left, sorted as free[0..m-1], has
 every order of them as a member exactly when placing them in increasing
-order appends no tail, that is, when
-``bisect_left(tails, free[i]) <= len(tails) - m + i`` for every i.  An
-increasing subsequence of any order of the free values is one of the
-sorted order too, so if the sorted order stays within n-k, all m!
-orders do.  Such a node is a block ``(head, free)``: the values placed,
-followed by each order of ``free``.  The walk (``_blocks``) yields
-blocks, not members, and never descends below one; a leaf is a block
-with nothing free.  ``permutations(free)`` lists a block lazily and in
-lexicographic order.  ``iter_class`` expands the blocks into members,
-one at a time; ``lines`` turns each block into its text, one string of
-up to k! lines (720 at k = 6), with the head formatted once.  Only
-listing walks; counting memoizes the count below a node on its state
-word (``_count_word``), as in West's generating trees (1996).  Counting
-spells the root words itself (``component_counts``): by the pruning
-lemma a live prefix ends in n, so the first entry and the values
-left to place between them fix it, and dead roots are never formed.
-``is_member`` rests on ``lis_length``, and the tests compare the walk
-with a filter of all n! permutations.
+order appends no tail, that is, when entry i is at least m-1-i for
+every i (``_free``).  An increasing subsequence of any order of the
+free values is one of the sorted order too, so if the sorted order
+stays within n-k, all m! orders do.  Such a node is a block
+``(head, free)``: the values placed, followed by each order of
+``free``.  The walk (``_blocks``) yields blocks, not members, and never
+descends below one; a leaf is a block with nothing free.
+``permutations(free)`` lists a block lazily and in lexicographic order.
+``iter_class`` expands the blocks into members, one at a time;
+``lines`` turns each block into its text, one string of up to k! lines
+(720 at k = 6), with the head formatted once.  A state recurs at many
+nodes of a listing (792 states for 42,744 nodes at (12, 6)), so the
+walk memoizes what it needs of a node (``_node``).  Counting (``_count``)
+visits the same children from the same roots and stops at the same
+blocks, each worth m!, memoized on the state as in West's generating
+trees (1996); it builds no permutation.  ``is_member`` rests on
+``lis_length``, and the tests compare the walk with a filter of all n!
+permutations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import chain, combinations, permutations, starmap
+from itertools import chain, permutations, starmap
 from math import comb, factorial
-from operator import le
+from operator import ge
 from typing import Iterator, Sequence
 
 from .exact import check_size
@@ -76,6 +78,8 @@ from .exact import check_size
 Perm = tuple[int, ...]
 # (head, free): head followed by each order of the sorted values free
 _Block = tuple[Perm, Perm]
+# last - bisect_left(tails, v) for each value v left, by increasing v
+_State = tuple[int, ...]
 
 
 def check_permutation(mu: Sequence[int]) -> None:
@@ -121,77 +125,82 @@ def candidate_count(n: int, k: int) -> int:
     return comb(n, k) * factorial(k)
 
 
-def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], list[int]]]:
-    """``(prefix, rest)`` for each increasing prefix of length n-k that
-    starts with ``first``, in lexicographic order; ``rest`` holds the
-    other values, sorted.  n >= 1.
+def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], Perm, _State]]:
+    """``(prefix, rest, state)`` of each live root whose prefix starts
+    with ``first``, in lexicographic order; ``rest`` holds the k values
+    left to place, sorted.  1 <= first <= k+1.
 
-    ``combinations`` picks the prefix entry by entry, entry p (0-based)
-    at most k+p+1, so nothing comes out for first > k+1.  Prefixes that
-    do not end in n come out too; ``_place`` cuts them at once.  Only
-    the walk uses this; counting spells its live roots itself.
+    By the pruning lemma a live prefix ends in n.  Every value below
+    ``first`` is left, at entry n-k-1 with all n-k tails above it, and so
+    are k-first+1 values picked from first+1..n-1: a pick q with c picks
+    at or above it has n-q-c+1 tails above it, entry n-q-c.  The picks
+    are chosen smallest first, each from the largest it can be down, so
+    the prefixes come out in lexicographic order.  At (0, 0), (1, 0) and
+    (2, 1) nothing is picked, and the one prefix is n alone or empty.
     """
-    for mid in combinations(range(first + 1, n + 1), n - k - 1):
-        prefix = [first, *mid]
-        taken = set(prefix)
-        yield prefix, [v for v in range(1, n + 1) if v not in taken]
+    values = list(range(n + 1))
+
+    def pick(lo: int, c: int, prefix: list[int], rest: Perm, state: _State) -> Iterator:
+        # prefix holds the tails below lo; c picks are left, from lo up
+        if not c:
+            yield prefix + values[lo:], rest, state
+            return
+        for q in range(n - c, lo - 1, -1):
+            yield from pick(q + 1, c - 1, prefix + values[lo:q], rest + (q,), state + (n - q - c,))
+
+    # values[first:first + 1] is [first], or [] at n = 0
+    return pick(first + 1, k - first + 1, values[first:first + 1], tuple(range(1, first)),
+                (n - k - 1,) * (first - 1))
 
 
-def _place(last: int, positions: list[int], rest: list[int], placed: list[int]) -> Iterator[_Block]:
+def _children(state: _State) -> Iterator[tuple[int, _State]]:
+    """``(j, child)`` for each value left, the j-th, whose child state
+    the pruning lemma keeps: one whose last entry is not below 0.
+    Placing the value drops its entry d, and each later entry equal to
+    d, a value that shared its tail, falls by one, since the value
+    placed becomes that tail.  Entries never rise, so the later equal
+    ones come first."""
+    for j, d in enumerate(state):
+        later = state[j + 1:]
+        c = later.count(d)
+        child = state[:j] + (d - 1,) * c + later[c:]
+        if child[-1] >= 0:
+            yield j, child
+
+
+def _free(state: _State) -> bool:
+    """The free-tail lemma: entry i is at least m-1-i for every i."""
+    return all(map(ge, state, range(len(state) - 1, -1, -1)))
+
+
+@cache
+def _node(state: _State) -> tuple[tuple[int, _State], ...] | None:
+    """None at a block, else the children: what the walk needs of a
+    node, memoized, since a state recurs at many nodes of a listing."""
+    return None if _free(state) else tuple(_children(state))
+
+
+def _place(state: _State, rest: Perm, placed: list[int]) -> Iterator[_Block]:
     """Blocks of the members that continue ``placed``, in lexicographic
-    order.
-
-    ``rest`` holds the sorted values still to place and ``positions``
-    their ``bisect_left`` positions in the patience tails of ``placed``,
-    whose last tail is at ``last``; ``placed`` is restored before
-    returning.  By the pruning lemma there are none when a value lies
-    above the last tail; by the free-tail lemma the node is one block
-    when each ``rest[i]`` lands on tail last + 1 - m + i or before it,
-    m = len(rest).  Placing ``rest[j]`` at ``pos`` makes it that tail,
-    so each later value at ``pos`` moves to pos + 1 and every other
-    value keeps its position.
-    """
-    if positions and positions[-1] > last:
+    order, from the live node ``state`` with the sorted values ``rest``
+    still to place; ``placed`` is restored before returning."""
+    children = _node(state)
+    if children is None:
+        yield tuple(placed), rest
         return
-    m = len(rest)
-    if all(map(le, positions, range(last + 1 - m, last + 1))):
-        yield tuple(placed), tuple(rest)
-        return
-    for j in range(m):
-        pos = positions[j]
-        if pos == last and j != m - 1:
-            # rest[j] would become the last tail below the largest value left
-            continue
-        child, left = positions.copy(), rest.copy()
-        del child[j]
-        i = j
-        while i < m - 1 and child[i] == pos:
-            child[i] = pos + 1
-            i += 1
-        placed.append(left.pop(j))
-        yield from _place(last, child, left, placed)
+    for j, child in children:
+        placed.append(rest[j])
+        yield from _place(child, rest[:j] + rest[j + 1:], placed)
         placed.pop()
 
 
 @cache
-def _count_word(word: str) -> int:
-    """How many members ``_place`` would yield from the node spelt by
-    ``word``: ``"0"`` for a tail and ``"1"`` for a value still to place,
-    by increasing value, leading ``"0"``s dropped (no value left can
-    replace them).  Placing the value at p drops the first ``"0"`` after
-    p, the tail that ``bisect_left`` replaces, and turns p into a tail.
-    """
-    if not word:
-        return 1
-    if word[-1] == "1":
-        # the pruning lemma: a value left lies above tails[-1]
-        return 0
-    total = 0
-    p = word.find("1")
-    while p >= 0:
-        total += _count_word((word[:p] + "0" + word[p + 1:].replace("0", "", 1)).lstrip("0"))
-        p = word.find("1", p + 1)
-    return total
+def _count(state: _State) -> int:
+    """How many members ``_place`` yields from the live node ``state``:
+    m! at a block, else the sum over the children it visits."""
+    if _free(state):
+        return factorial(len(state))
+    return sum(_count(child) for _, child in _children(state))
 
 
 def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
@@ -203,14 +212,13 @@ def _blocks(n: int, k: int, prefix: int | None = None) -> Iterator[_Block]:
     check_size(n, k)
     if prefix is not None and not 1 <= prefix <= n:
         raise ValueError(f"prefix must lie in 1..{n}, got {prefix}")
-    if n == 0:
-        return iter([((), ())])
-    firsts = range(1, k + 2) if prefix is None else (prefix,)
+    # the class is empty beyond first entry k+1
+    firsts = [first for first in range(1, k + 2) if prefix in (None, first)]
     return (
         block
         for first in firsts
-        for root, rest in _roots(n, k, first)
-        for block in _place(n - k - 1, [bisect_left(root, v) for v in rest], rest, root)
+        for root, rest, state in _roots(n, k, first)
+        for block in _place(state, rest, root)
     )
 
 
@@ -249,31 +257,10 @@ def lines(n: int, k: int, prefix: int | None = None) -> Iterator[str]:
 
 
 def component_counts(n: int, k: int) -> list[int]:
-    """The vector [#B(1), ..., #B(k+1)] by direct counting.
-
-    Sums ``_count_word`` over the live roots only, each spelt straight
-    from a combination in O(n) C-level work.  A live prefix starts with
-    ``first`` and, by the pruning lemma, ends with n; every value below
-    ``first`` is left to place, and so are k-first+1 values picked from
-    first+1..n-1.  The rest are tails.
-    """
+    """The vector [#B(1), ..., #B(k+1)] by direct counting: ``_count``
+    summed over the live roots of each first entry."""
     check_size(n, k)
-    counts = []
-    for first in range(1, k + 2):
-        # cells[v - 1] spells value v: "1" below first, then "0" up to n
-        # but for the values picked; first == n, at (1, 0) and (2, 1),
-        # leaves none to pick and spells the prefix n alone; at (0, 0)
-        # the empty word counts the empty permutation
-        cells = bytearray(("1" * (first - 1) + "0" * (n - first + 1)).encode())
-        total = 0
-        for picked in combinations(range(first, n - 1), k - first + 1):
-            for i in picked:
-                cells[i] = 49  # "1"
-            total += _count_word(cells.decode().lstrip("0"))
-            for i in picked:
-                cells[i] = 48  # "0"
-        counts.append(total)
-    return counts
+    return [sum(_count(state) for _, _, state in _roots(n, k, first)) for first in range(1, k + 2)]
 
 
 def insert_prefix(mu: Sequence[int], i: int) -> Perm:

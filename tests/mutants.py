@@ -67,36 +67,89 @@ MUTANTS = (
         "out.append(row)",
         ("tests/test_exact.py::test_integer_rows_copies_int_rows",),
     ),
-    # route 2: the walk's pruning lemma, free-tail lemma and skip rule
+    # route 2: one node state, its child rule, the pruning and free-tail lemmas
     Mutant(
-        "place-pruning", "oracle.py",
-        "if positions and positions[-1] > last:",
-        "if positions and positions[-1] > last + 1:",
+        "children-keep-a-pruned-child", "oracle.py",
+        "if child[-1] >= 0:",
+        "if child[-1] >= -1:",
         ("tests/test_oracle.py::test_enumerate_small_goldens",),
     ),
     Mutant(
-        "place-free-tail-slack", "oracle.py",
-        "range(last + 1 - m, last + 1)",
-        "[last + 1] * m",
+        "free-tail-slack", "oracle.py",
+        "range(len(state) - 1, -1, -1)",
+        "[0] * len(state)",
         ("tests/test_oracle.py::test_blocks_are_free_tails",),
     ),
     Mutant(
-        "place-skips-largest-too", "oracle.py",
-        "if pos == last and j != m - 1:",
-        "if pos == last:",
+        "free-tail-bound-one-lax", "oracle.py",
+        "range(len(state) - 1, -1, -1)",
+        "range(len(state) - 2, -2, -1)",
+        ("tests/test_oracle.py::test_blocks_are_free_tails",),
+    ),
+    # cost only: more, smaller blocks, and more memo states
+    Mutant(
+        "free-tail-bound-one-strict", "oracle.py",
+        "range(len(state) - 1, -1, -1)",
+        "range(len(state), 0, -1)",
+        (
+            "tests/test_oracle.py::test_walk_skips_the_children_the_pruning_lemma_cuts",
+            "tests/test_oracle.py::test_counting_memoizes_live_roots_only",
+        ),
+    ),
+    # cost only: the walk lists every block one member at a time
+    Mutant(
+        "node-descends-below-blocks", "oracle.py",
+        "return None if _free(state) else",
+        "return None if not state else",
+        ("tests/test_oracle.py::test_walk_skips_the_children_the_pruning_lemma_cuts",),
+    ),
+    Mutant(
+        "children-cut-the-largest-too", "oracle.py",
+        "if child[-1] >= 0:",
+        "if child[-1] > 0:",
         ("tests/test_oracle.py::test_blocks_are_free_tails",),
     ),
     Mutant(
-        "place-shifts-later-positions", "oracle.py",
-        "while i < m - 1 and child[i] == pos:",
-        "while i < m - 1 and child[i] >= pos:",
+        "child-lowers-every-later-entry", "oracle.py",
+        "child = state[:j] + (d - 1,) * c + later[c:]",
+        "child = state[:j] + tuple(e - 1 for e in later)",
         ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
     ),
     Mutant(
-        "blocks-last-tail-one-late", "oracle.py",
-        "_place(n - k - 1, [bisect_left(root, v) for v in rest], rest, root)",
-        "_place(n - k, [bisect_left(root, v) for v in rest], rest, root)",
+        "child-lowers-another-distance", "oracle.py",
+        "c = later.count(d)",
+        "c = later.count(d - 1)",
         ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
+    ),
+    Mutant(
+        "roots-last-tail-one-late", "oracle.py",
+        "(n - k - 1,) * (first - 1)",
+        "(n - k,) * (first - 1)",
+        ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
+    ),
+    Mutant(
+        "roots-pick-entry-one-high", "oracle.py",
+        "state + (n - q - c,)",
+        "state + (n - q - c + 1,)",
+        ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
+    ),
+    Mutant(
+        "roots-yield-dead-roots", "oracle.py",
+        "for q in range(n - c, lo - 1, -1):",
+        "for q in range(n - c + 1, lo - 1, -1):",
+        ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
+    Mutant(
+        "roots-first-alone-at-n-0", "oracle.py",
+        "values[first:first + 1], tuple(range(1, first))",
+        "[first], tuple(range(1, first))",
+        ("tests/test_oracle.py::test_enumerate_small_goldens",),
+    ),
+    Mutant(
+        "roots-n-alone-twice", "oracle.py",
+        "yield prefix + values[lo:], rest, state",
+        "yield prefix + values[lo:n] + [n], rest, state",
+        ("tests/test_oracle.py::test_enumerate_small_goldens",),
     ),
     Mutant(
         "iter-class-drops-prefix", "oracle.py",
@@ -130,24 +183,40 @@ MUTANTS = (
         'if not name.startswith("_")',
         ("tests/test_boundaries.py::test_all_names_each_public_attribute_once",),
     ),
-    # route 2's counting: live-root words and the memoized count below them
+    # route 2's counting: the walk's roots, children and blocks, memoized
     Mutant(
-        "count-word-drops-value-n", "oracle.py",
-        '"0" * (n - first + 1)',
-        '"0" * (n - first)',
+        "roots-drop-value-n", "oracle.py",
+        "yield prefix + values[lo:], rest, state",
+        "yield prefix + values[lo:n], rest, state",
         ("tests/test_oracle.py::test_walks_match_candidate_scan",),
     ),
     Mutant(
-        "count-one-free-value-short", "oracle.py",
-        "k - first + 1):",
-        "k - first):",
+        "roots-one-pick-short", "oracle.py",
+        "pick(first + 1, k - first + 1,",
+        "pick(first + 1, k - first,",
         ("tests/test_oracle.py::test_walks_match_candidate_scan",),
     ),
     Mutant(
-        "count-word-skips-a-step", "oracle.py",
-        'p = word.find("1", p + 1)',
-        'p = word.find("1", p + 2)',
+        "children-skip-the-last", "oracle.py",
+        "for j, d in enumerate(state):",
+        "for j, d in enumerate(state[:-1]):",
         ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
+    Mutant(
+        "count-block-one-value-short", "oracle.py",
+        "return factorial(len(state))",
+        "return factorial(len(state) - 1)",
+        ("tests/test_oracle.py::test_count_sums_the_blocks_below_each_root",),
+    ),
+    # cost only: counting a free node through its children
+    Mutant(
+        "count-free-node-walks", "oracle.py",
+        "    if _free(state):\n        return factorial(len(state))\n",
+        "    if not state:\n        return 1\n",
+        (
+            "tests/test_oracle.py::test_count_of_a_free_node_calls_no_child",
+            "tests/test_oracle.py::test_counting_memoizes_live_roots_only",
+        ),
     ),
     # route 4 and the Bareiss engine
     Mutant(
@@ -635,8 +704,8 @@ MUTANTS = (
     ),
     Mutant(
         "component-counts-skips-the-empty-class", "oracle.py",
-        "    for first in range(1, k + 2):\n        # cells",
-        "    for first in range(1, min(k + 2, n + 1)):\n        # cells",
+        "for first in range(1, k + 2)]",
+        "for first in range(1, min(k + 2, n + 1))]",
         ("tests/test_oracle.py::test_component_counts",),
     ),
     Mutant(
@@ -725,9 +794,9 @@ MUTANTS = (
         ("tests/test_exact.py::test_falling_factorial_domain_errors",),
     ),
     Mutant(
-        "place-no-dead-child-skip", "oracle.py",
-        "if pos == last and j != m - 1:",
-        "if False:",
+        "children-keep-every-child", "oracle.py",
+        "if child[-1] >= 0:",
+        "if True:",
         ("tests/test_oracle.py::test_walk_skips_the_children_the_pruning_lemma_cuts",),
     ),
     Mutant(

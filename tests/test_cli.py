@@ -272,7 +272,7 @@ def test_brute_force_over_budget_exits_2(monkeypatch, capsys, argv):
     def entered(*args):
         raise AssertionError("the brute-force walk was entered")
 
-    for name in ("_roots", "_place", "_blocks", "iter_class", "_count_word"):
+    for name in ("_roots", "_place", "_count", "_blocks", "iter_class"):
         monkeypatch.setattr(oracle, name, entered)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -6,6 +6,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -194,8 +195,8 @@ def test_counting_matches_listing_beyond_the_scan(n, k):
 
 
 def test_walk_skips_the_children_the_pruning_lemma_cuts(monkeypatch):
-    # cost only: without the skip the walk still yields these blocks, in
-    # 5,926 calls instead of 4,275
+    # cost: the walk enters live nodes only, one call each, and stops at
+    # a block; 2,210 of the 4,065 nodes at (11, 5) are blocks
     calls, real = [], oracle._place
 
     def counted(*args):
@@ -204,30 +205,56 @@ def test_walk_skips_the_children_the_pruning_lemma_cuts(monkeypatch):
 
     monkeypatch.setattr(oracle, "_place", counted)
     assert len(list(oracle._blocks(11, 5))) == 2210
-    assert len(calls) == 4275
+    assert len(calls) == 4065
 
 
 def test_walk_carries_the_tail_positions(monkeypatch):
-    # at every node, each value left sits where a fresh bisect_left puts
-    # it among the patience tails of the values placed
+    # at every node, the entry of each value left is how far below the
+    # last patience tail of the values placed a fresh bisect_left puts it
     nodes, real = [], oracle._place
 
-    def checked(last, positions, rest, placed):
+    def checked(state, rest, placed):
         tails = []
         for v in placed:
             pos = bisect_left(tails, v)
             tails[pos:pos + 1] = [v]
-        assert last == len(tails) - 1, (placed, last)
-        assert positions == [bisect_left(tails, v) for v in rest], (placed, rest)
+        assert len(tails) == n - k, placed
+        last = len(tails) - 1
+        assert state == tuple(last - bisect_left(tails, v) for v in rest), (placed, rest)
         nodes.append(len(rest))
-        return real(last, positions, rest, placed)
+        return real(state, rest, placed)
 
     monkeypatch.setattr(oracle, "_place", checked)
     for n in range(10):
         for k in range(n // 2 + 1):
             for prefix in (None, *range(1, n + 1)):
                 list(oracle._blocks(n, k, prefix))
-    assert len(nodes) == 2222 and max(nodes) == 4
+    assert len(nodes) == 1811 and max(nodes) == 4
+
+
+@pytest.mark.parametrize("n, k", SCAN_CELLS)
+def test_count_sums_the_blocks_below_each_root(n, k):
+    # the count and the walk run on the same states; the heads of the
+    # blocks do not matter for their sizes
+    for first in range(1, k + 2):
+        for _, rest, state in oracle._roots(n, k, first):
+            blocks = oracle._place(state, rest, [])
+            assert oracle._count(state) == sum(factorial(len(free)) for _, free in blocks)
+
+
+def test_count_of_a_free_node_calls_no_child(monkeypatch):
+    def children(state):
+        raise AssertionError(f"counting {state} visited its children")
+
+    # the one root of prefix 13 at (24, 12) is free: all 12! orders of 1..12
+    [(prefix, rest, state)] = oracle._roots(24, 12, 13)
+    assert (prefix, rest, state) == (list(range(13, 25)), tuple(range(1, 13)), (11,) * 12)
+    monkeypatch.setattr(oracle, "_children", children)
+    oracle._count.cache_clear()
+    assert oracle._count(state) == factorial(12)
+    assert oracle._count((3, 2, 1, 0)) == 24
+    with pytest.raises(AssertionError, match="visited its children"):
+        oracle._count((3, 2, 0, 0))
 
 
 def test_counting_never_walks(monkeypatch):
@@ -235,16 +262,16 @@ def test_counting_never_walks(monkeypatch):
         raise AssertionError("counting entered the walk")
 
     monkeypatch.setattr(oracle, "_place", walk)
-    monkeypatch.setattr(oracle, "_roots", walk)
-    oracle._count_word.cache_clear()
+    oracle._count.cache_clear()
     assert component_counts(12, 6) == [100585, 68334, 42150, 22920, 10440, 3600, 720]
 
 
 def test_counting_memoizes_live_roots_only():
-    # dead roots, prefixes that do not end in n, never reach the memo
-    oracle._count_word.cache_clear()
+    # dead roots and the children the pruning lemma cuts never reach the
+    # memo, and a free node is counted without its children
+    oracle._count.cache_clear()
     component_counts(14, 5)
-    assert oracle._count_word.cache_info().misses == 2288
+    assert oracle._count.cache_info().misses == 1573
 
 
 def test_counting_reaches_large_n_at_k1():
@@ -306,8 +333,6 @@ def test_column_recursion_oracle_vs_oracle():
 
 
 def test_last_component_is_k_factorial():
-    from math import factorial
-
     for k in range(0, 4):
         for n in range(max(2 * k, 1), 10):
             assert component_counts(n, k)[-1] == factorial(k)
