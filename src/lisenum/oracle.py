@@ -56,21 +56,26 @@ descends below one; a leaf is a block with nothing free.
 ``lines`` turns each block into its text, one string of up to k! lines
 (720 at k = 6), with the head formatted once.  A state recurs at many
 nodes of a listing (792 states for 42,744 nodes at (12, 6)), so the
-walk memoizes what it needs of a node (``_node``).  Counting (``_count``)
-visits the same children from the same roots and stops at the same
+walk memoizes what it needs of a node (``_node``).
+
+Counting (``_count``) visits the same children and stops at the same
 blocks, each worth m!, memoized on the state as in West's generating
-trees (1996); it builds no permutation.  ``is_member`` rests on
-``lis_length``, and the tests compare the walk with a filter of all n!
-permutations.
+trees (1996); it builds no permutation.  It starts from the same root
+states, but needs no prefix: a root's state follows from the values
+left alone (``_root_state``), O(k) per root, and ``_root_states``
+draws them from the picks in any order.  So at k = 0, where the one
+root picks nothing, counting allocates nothing of size n.
+``is_member`` rests on ``lis_length``, and the tests compare the walk
+with a filter of all n! permutations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import chain, permutations, starmap
+from itertools import chain, combinations, permutations, starmap
 from math import comb, factorial
-from operator import ge
+from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .exact import check_size
@@ -125,32 +130,51 @@ def candidate_count(n: int, k: int) -> int:
     return comb(n, k) * factorial(k)
 
 
+def _root_state(n: int, k: int, rest: Perm) -> _State:
+    """The state of the root that leaves the sorted values ``rest``.
+
+    The tails are the prefix, so the placed values below the j-th value
+    v left, v-1-j of them, are the tails before its ``bisect_left``
+    position, and its entry is n-k-1-(v-1-j) = n-k+j-v.  A value below
+    the first entry has j = v-1 and entry n-k-1: every tail lies above
+    it."""
+    return tuple(map(sub, range(n - k, n), rest))
+
+
 def _roots(n: int, k: int, first: int) -> Iterator[tuple[list[int], Perm, _State]]:
     """``(prefix, rest, state)`` of each live root whose prefix starts
     with ``first``, in lexicographic order; ``rest`` holds the k values
     left to place, sorted.  1 <= first <= k+1.
 
     By the pruning lemma a live prefix ends in n.  Every value below
-    ``first`` is left, at entry n-k-1 with all n-k tails above it, and so
-    are k-first+1 values picked from first+1..n-1: a pick q with c picks
-    at or above it has n-q-c+1 tails above it, entry n-q-c.  The picks
-    are chosen smallest first, each from the largest it can be down, so
-    the prefixes come out in lexicographic order.  At (0, 0), (1, 0) and
-    (2, 1) nothing is picked, and the one prefix is n alone or empty.
+    ``first`` is left, and so are k-first+1 values picked from
+    first+1..n-1.  The picks are chosen smallest first, each from the
+    largest it can be down, so the prefixes come out in lexicographic
+    order.  At (0, 0), (1, 0) and (2, 1) nothing is picked, and the one
+    prefix is n alone or empty.
     """
     values = list(range(n + 1))
 
-    def pick(lo: int, c: int, prefix: list[int], rest: Perm, state: _State) -> Iterator:
+    def pick(lo: int, c: int, prefix: list[int], rest: Perm) -> Iterator:
         # prefix holds the tails below lo; c picks are left, from lo up
         if not c:
-            yield prefix + values[lo:], rest, state
+            yield prefix + values[lo:], rest, _root_state(n, k, rest)
             return
         for q in range(n - c, lo - 1, -1):
-            yield from pick(q + 1, c - 1, prefix + values[lo:q], rest + (q,), state + (n - q - c,))
+            yield from pick(q + 1, c - 1, prefix + values[lo:q], rest + (q,))
 
     # values[first:first + 1] is [first], or [] at n = 0
-    return pick(first + 1, k - first + 1, values[first:first + 1], tuple(range(1, first)),
-                (n - k - 1,) * (first - 1))
+    return pick(first + 1, k - first + 1, values[first:first + 1], tuple(range(1, first)))
+
+
+def _root_states(n: int, k: int, first: int) -> Iterator[_State]:
+    """The states of ``_roots(n, k, first)``, in no set order, without
+    their prefixes: the values below ``first`` followed by each choice
+    of k-first+1 picks from first+1..n-1, O(k) each."""
+    below, c = tuple(range(1, first)), k - first + 1
+    # combinations copies its pool, n-first-1 values, even to choose none
+    picks = combinations(range(first + 1, n), c) if c else [()]
+    return (_root_state(n, k, below + chosen) for chosen in picks)
 
 
 def _children(state: _State) -> Iterator[tuple[int, _State]]:
@@ -258,9 +282,9 @@ def lines(n: int, k: int, prefix: int | None = None) -> Iterator[str]:
 
 def component_counts(n: int, k: int) -> list[int]:
     """The vector [#B(1), ..., #B(k+1)] by direct counting: ``_count``
-    summed over the live roots of each first entry."""
+    summed over the live root states of each first entry."""
     check_size(n, k)
-    return [sum(_count(state) for _, _, state in _roots(n, k, first)) for first in range(1, k + 2)]
+    return [sum(map(_count, _root_states(n, k, first))) for first in range(1, k + 2)]
 
 
 def insert_prefix(mu: Sequence[int], i: int) -> Perm:

@@ -87,6 +87,11 @@ def count_formula(n: int, k: int) -> int:
     )
 
 
+# kernel_by_solve's kernels for the life of the process, keyed by k and
+# its type, so 2.0 or True is not served the kernel of 2 or 1
+_kernels: dict[tuple[int, type], list[int]] = {}
+
+
 def kernel_by_solve(k: int) -> list[int]:
     """The kernel column obtained by solving the kernel matrix system
     with one fraction-free elimination (no determinant is computed).
@@ -94,12 +99,17 @@ def kernel_by_solve(k: int) -> list[int]:
     This is the conjectured description of the kernel; it raises
     ConjectureViolation rather than rounding if the solve is ever
     non-integral or negative, and the verification suites compare it
-    against brute force.  Each call solves afresh.
+    against brute force.  Each k is solved once per process; a
+    violation is not kept, so it raises on every call, and each call
+    returns a fresh list.
     """
-    solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
-    if any(x.denominator != 1 or x < 0 for x in solution):
-        raise ConjectureViolation(k, solution)
-    return [int(x) for x in solution]
+    key = k, type(k)
+    if key not in _kernels:
+        solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
+        if any(x.denominator != 1 or x < 0 for x in solution):
+            raise ConjectureViolation(k, solution)
+        _kernels[key] = [int(x) for x in solution]
+    return list(_kernels[key])
 
 
 def _next_column(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -421,10 +431,16 @@ def _suite_bijection(grid: GridSpec, budget: int) -> list[CheckResult]:
 
 def random_integer_matrix(rng: random.Random, dim: int, plant_zero: bool) -> Matrix:
     """Uniform entries in [-9, 9], drawn row by row as ``rng.randint(-9,
-    9)`` draws them (``randrange(19) - 9``, more cheaply); optionally
-    force one interior zero, so condensation takes its shifted path."""
-    draw = rng.randrange
-    entries = [draw(19) - 9 for _ in range(dim * dim)]
+    9)`` draws them (``randrange(19) - 9``, more cheaply: CPython's
+    ``randrange(19)`` draws 5 random bits until they read below 19);
+    optionally force one interior zero, so condensation takes its
+    shifted path."""
+    bits = rng.getrandbits
+    entries = []
+    for _ in range(dim * dim):
+        while (r := bits(5)) >= 19:
+            pass
+        entries.append(r - 9)
     rows = [entries[i:i + dim] for i in range(0, dim * dim, dim)]
     if plant_zero and dim >= 3:
         rows[rng.randint(1, dim - 2)][rng.randint(1, dim - 2)] = 0

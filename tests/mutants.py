@@ -122,15 +122,15 @@ MUTANTS = (
         ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
     ),
     Mutant(
-        "roots-last-tail-one-late", "oracle.py",
-        "(n - k - 1,) * (first - 1)",
-        "(n - k,) * (first - 1)",
+        "root-state-offset-one-high", "oracle.py",
+        "range(n - k, n), rest",
+        "range(n - k + 1, n + 1), rest",
         ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
     ),
     Mutant(
-        "roots-pick-entry-one-high", "oracle.py",
-        "state + (n - q - c,)",
-        "state + (n - q - c + 1,)",
+        "root-state-offset-one-low", "oracle.py",
+        "range(n - k, n), rest",
+        "range(n - k - 1, n - 1), rest",
         ("tests/test_oracle.py::test_walk_carries_the_tail_positions",),
     ),
     Mutant(
@@ -147,8 +147,8 @@ MUTANTS = (
     ),
     Mutant(
         "roots-n-alone-twice", "oracle.py",
-        "yield prefix + values[lo:], rest, state",
-        "yield prefix + values[lo:n] + [n], rest, state",
+        "yield prefix + values[lo:], rest,",
+        "yield prefix + values[lo:n] + [n], rest,",
         ("tests/test_oracle.py::test_enumerate_small_goldens",),
     ),
     Mutant(
@@ -186,8 +186,8 @@ MUTANTS = (
     # route 2's counting: the walk's roots, children and blocks, memoized
     Mutant(
         "roots-drop-value-n", "oracle.py",
-        "yield prefix + values[lo:], rest, state",
-        "yield prefix + values[lo:n], rest, state",
+        "yield prefix + values[lo:], rest,",
+        "yield prefix + values[lo:n], rest,",
         ("tests/test_oracle.py::test_walks_match_candidate_scan",),
     ),
     Mutant(
@@ -195,6 +195,31 @@ MUTANTS = (
         "pick(first + 1, k - first + 1,",
         "pick(first + 1, k - first,",
         ("tests/test_oracle.py::test_walks_match_candidate_scan",),
+    ),
+    # counting's roots: their states from the picks, without prefixes
+    Mutant(
+        "count-picks-from-first", "oracle.py",
+        "combinations(range(first + 1, n), c)",
+        "combinations(range(first, n), c)",
+        ("tests/test_oracle.py::test_counting_starts_from_the_walks_root_states",),
+    ),
+    Mutant(
+        "count-one-pick-short", "oracle.py",
+        "below, c = tuple(range(1, first)), k - first + 1",
+        "below, c = tuple(range(1, first)), k - first",
+        ("tests/test_oracle.py::test_counting_starts_from_the_walks_root_states",),
+    ),
+    Mutant(
+        "count-drops-the-values-below-first", "oracle.py",
+        "_root_state(n, k, below + chosen)",
+        "_root_state(n, k, chosen)",
+        ("tests/test_oracle.py::test_counting_starts_from_the_walks_root_states",),
+    ),
+    Mutant(
+        "count-copies-the-pool-at-k0", "oracle.py",
+        "if c else [()]",
+        "if True else [()]",
+        ("tests/test_oracle.py::test_counting_at_k0_allocates_nothing_of_size_n",),
     ),
     Mutant(
         "children-skip-the-last", "oracle.py",
@@ -389,6 +414,32 @@ MUTANTS = (
         "vandermonde_chu_check(a, b, x_lo).witness",
         ("tests/test_failure_paths.py::test_convolution_wrong",),
     ),
+    # pipeline: route 3's kernel, solved once per k and handed out as a copy
+    Mutant(
+        "kernel-memo-returns-its-list", "pipeline.py",
+        "return list(_kernels[key])",
+        "return _kernels[key]",
+        ("tests/test_pipeline.py::test_each_call_returns_a_fresh_kernel",),
+    ),
+    Mutant(
+        "kernel-memo-keeps-a-violation", "pipeline.py",
+        "            raise ConjectureViolation(k, solution)\n        _kernels[key] = [int(x) for x in solution]",
+        "            _kernels[key] = [int(x) for x in solution]\n            raise ConjectureViolation(k, solution)\n        _kernels[key] = [int(x) for x in solution]",
+        ("tests/test_pipeline.py::test_a_conjecture_violation_is_not_memoized",),
+    ),
+    Mutant(
+        "kernel-memo-untyped", "pipeline.py",
+        "key = k, type(k)",
+        "key = k",
+        ("tests/test_pipeline.py::test_kernel_is_solved_once_per_k",),
+    ),
+    # cost only: every call solves again
+    Mutant(
+        "kernel-memo-solves-every-call", "pipeline.py",
+        "if key not in _kernels:",
+        "if True:",
+        ("tests/test_pipeline.py::test_kernel_is_solved_once_per_k",),
+    ),
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(
         "kernel-count-steps", "pipeline.py",
@@ -574,6 +625,18 @@ MUTANTS = (
         "random-matrix-column-major", "pipeline.py",
         "rows = [entries[i:i + dim] for i in range(0, dim * dim, dim)]",
         "rows = [entries[i::dim] for i in range(dim)]",
+        ("tests/test_pipeline.py::test_random_integer_matrix_draws_as_randint_does",),
+    ),
+    Mutant(
+        "draw-rejects-at-20", "pipeline.py",
+        "while (r := bits(5)) >= 19:",
+        "while (r := bits(5)) >= 20:",
+        ("tests/test_pipeline.py::test_random_integer_matrix_draws_as_randint_does",),
+    ),
+    Mutant(
+        "draw-six-bits", "pipeline.py",
+        "while (r := bits(5)) >= 19:",
+        "while (r := bits(6)) >= 19:",
         ("tests/test_pipeline.py::test_random_integer_matrix_draws_as_randint_does",),
     ),
     Mutant(

@@ -150,6 +150,8 @@ def test_table_domain_error(capsys):
     ],
 )
 def test_kernel_conjecture_violation_exits_2(monkeypatch, capsys, argv):
+    # an empty memo, so the patched solve runs
+    monkeypatch.setattr(pipeline, "_kernels", {})
     monkeypatch.setattr(pipeline, "solve_bareiss", lambda a, v: (Fraction(1, 2), Fraction(-1)))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -315,24 +317,29 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("count", "--n", "1000000000", "--k", "0", "--method", "oracle"),
-        ("enumerate", "--n", "1000000000", "--k", "0"),
-    ],
-)
-def test_out_of_memory_exits_2(argv):
-    # one candidate fits the budget, but the walk would build an n-entry
-    # prefix: tens of GB, so the child runs under a 1 GiB address space
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child under a 1 GiB address space and a 20 s timeout."""
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lisenum", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_cap_address_space,
         capture_output=True, text=True, timeout=20,
     )
+
+
+def test_out_of_memory_exits_2():
+    # one candidate fits the budget, but the walk would build an n-entry
+    # prefix: tens of GB, so the child runs capped
+    done = _run_capped("enumerate", "--n", "1000000000", "--k", "0")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.splitlines()[-1] == "error: out of memory"
+
+
+def test_oracle_count_builds_no_prefix():
+    # counting starts from the one root's state, built from the values
+    # left (none), so under the same cap it answers
+    done = _run_capped("count", "--n", "1000000000", "--k", "0", "--method", "oracle")
+    assert (done.returncode, done.stdout) == (0, "1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,32 @@ def test_count_sums_the_blocks_below_each_root(n, k):
             assert oracle._count(state) == sum(factorial(len(free)) for _, free in blocks)
 
 
+@pytest.mark.parametrize("n, k", SCAN_CELLS)
+def test_counting_starts_from_the_walks_root_states(n, k):
+    # as a multiset: counting may take the roots in any order
+    for first in range(1, k + 2):
+        walked = Counter(state for _, _, state in oracle._roots(n, k, first))
+        assert Counter(oracle._root_states(n, k, first)) == walked, first
+
+
+def test_counting_at_k0_allocates_nothing_of_size_n():
+    # The one root picks nothing; a prefix, or a pool to pick from, of
+    # 10^9 values would need GBs.  Run in a child capped at 1 GB, so a
+    # count that allocates one fails instead of filling the host's memory.
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from lisenum import component_counts; "
+        "print(component_counts(10**9, 0))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[1]\n"), proc.stderr
+
+
 def test_count_of_a_free_node_calls_no_child(monkeypatch):
     def children(state):
         raise AssertionError(f"counting {state} visited its children")

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -71,6 +72,40 @@ def test_kernel_by_solve_rejects_negative_k():
         kernel_by_solve(-1)
 
 
+def test_each_call_returns_a_fresh_kernel():
+    kernel = kernel_by_solve(3)
+    kernel[0] = -1
+    kernel.append(7)
+    assert kernel_by_solve(3) == KERNELS[3]
+    assert kernel_by_solve(3) is not kernel_by_solve(3)
+
+
+def test_kernel_is_solved_once_per_k(monkeypatch):
+    solves, real = [], pipeline.solve_bareiss
+
+    def counted(a, v):
+        solves.append(len(v) - 1)
+        return real(a, v)
+
+    monkeypatch.setattr(pipeline, "_kernels", {})
+    monkeypatch.setattr(pipeline, "solve_bareiss", counted)
+    run_suite("all")
+    assert solves == list(range(6))
+    # typed: an equal bool is solved on its own, an equal float refused
+    assert kernel_by_solve(True) == KERNELS[1] and solves[-1] == 1 and len(solves) == 7
+    with pytest.raises(TypeError):
+        kernel_by_solve(2.0)
+
+
+def test_a_conjecture_violation_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(pipeline, "_kernels", {})
+    monkeypatch.setattr(pipeline, "solve_bareiss", lambda a, v: (Fraction(1, 2), Fraction(-1)))
+    for _ in range(3):
+        with pytest.raises(ConjectureViolation, match=r"^kernel solve at k=3 .*: \[1/2, -1\]$"):
+            kernel_by_solve(3)
+    assert pipeline._kernels == {}
+
+
 def test_kernels_match_oracle():
     for k in range(0, 5):
         assert kernel_by_solve(k) == component_counts(2 * k, k)
@@ -134,7 +169,9 @@ def _refuse(name):
 
 def _patch_out(monkeypatch, *names):
     """Make every named solver raise, in matrices and where pipeline
-    imported it by name."""
+    imported it by name, with an empty kernel memo, so that a kernel
+    solved before is solved again."""
+    monkeypatch.setattr(pipeline, "_kernels", {})
     for name in names:
         for module in (matrices, pipeline):
             monkeypatch.setattr(module, name, _refuse(name))
