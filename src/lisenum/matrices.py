@@ -12,12 +12,14 @@ linear-algebra side of the counting problem:
 
 Each takes its size rule from ``exact.check_size``; the two that
 describe the system at n = 2k, and the determinant product pair below,
-check (2k, k).  The five are memoized for the life of the process: each
-argument tuple is built once, and every caller shares the one immutable
-``Matrix`` or tuple.  A refusal is not cached, so it raises on every
-call.  The module builds no check records: the consistency checks over
-these constructors live in ``pipeline``, next to the suites that run
-them.
+check (2k, k).  The three matrices, and ``shifted_binomial_matrix``
+below, are built by one rule, ``_square``: entry (i, j) over 1-based
+i, j = 1..k+1.  The five are memoized for the life of the process by
+``exact.memoized``: each argument tuple is built once, and every caller
+shares the one immutable ``Matrix`` or tuple.  A refusal is not cached,
+so it raises on every call.  The module builds no check records: the
+consistency checks over these constructors live in ``pipeline``, next
+to the suites that run them.
 
 A ``Matrix`` is square by construction: every row has as many entries
 as there are rows, so the engines and solvers need no shape check.
@@ -56,11 +58,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, wraps
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exact import binomial, check_size, exact_div, integer_rows
+from .exact import binomial, check_size, exact_div, integer_rows, memoized
 
 Exact = int | Fraction
 Vector = tuple[Exact, ...]
@@ -379,24 +380,13 @@ def solve_cramer(a: Matrix, v: Sequence[Exact]) -> Vector:
 # structured constructors
 # ---------------------------------------------------------------------------
 
-def _memoized(build):
-    """``build`` memoized for the life of the process: each argument tuple
-    is built once (``functools.lru_cache`` with no bound, typed, so
-    ``2.0`` or ``True`` is not served the value of ``2``).  A refusal is
-    not cached, so it raises on every call.  The result is a plain
-    function, so the benchmark's tracer still finds and times it, with
-    the cache's ``cache_clear`` and ``cache_info``."""
-    memo = lru_cache(maxsize=None, typed=True)(build)
-
-    @wraps(build)
-    def memoized(*args, **kwargs):
-        return memo(*args, **kwargs)
-
-    memoized.cache_clear, memoized.cache_info = memo.cache_clear, memo.cache_info
-    return memoized
+def _square(k: int, entry: Callable[[int, int], Exact]) -> Matrix:
+    """The (k+1) x (k+1) ``Matrix`` with entry (i, j) = ``entry(i, j)``
+    over 1-based i and j."""
+    return Matrix([[entry(i, j) for j in range(1, k + 2)] for i in range(1, k + 2)])
 
 
-@_memoized
+@memoized
 def transfer_matrix(n: int, k: int) -> Matrix:
     """Advance matrix from the kernel column to size n.
 
@@ -405,15 +395,10 @@ def transfer_matrix(n: int, k: int) -> Matrix:
     identity at n = 2k.
     """
     check_size(n, k)
-    return Matrix(
-        [
-            [binomial(r + n - 2 * k - i - 1, r - i) for r in range(1, k + 2)]
-            for i in range(1, k + 2)
-        ]
-    )
+    return _square(k, lambda i, r: binomial(r + n - 2 * k - i - 1, r - i))
 
 
-@_memoized
+@memoized
 def kernel_matrix(k: int) -> Matrix:
     """Matrix whose solve against the initial vector yields the kernel.
 
@@ -422,30 +407,20 @@ def kernel_matrix(k: int) -> Matrix:
     signed values.  Equals ``component_matrix(k, 2k)``.
     """
     check_size(2 * k, k)
-    return Matrix(
-        [
-            [binomial(i + j - 2 * k - 1, j - 1) for j in range(1, k + 2)]
-            for i in range(1, k + 2)
-        ]
-    )
+    return _square(k, lambda i, j: binomial(i + j - 2 * k - 1, j - 1))
 
 
-@_memoized
+@memoized
 def component_matrix(k: int, n: int) -> Matrix:
     """Matrix whose solve against the initial vector yields the components.
 
     Entry (i, j), 1-based, is (-1)^(j-1) binomial(n - i - 1, j - 1).
     """
     check_size(n, k)
-    return Matrix(
-        [
-            [(-1) ** (j - 1) * binomial(n - i - 1, j - 1) for j in range(1, k + 2)]
-            for i in range(1, k + 2)
-        ]
-    )
+    return _square(k, lambda i, j: (-1) ** (j - 1) * binomial(n - i - 1, j - 1))
 
 
-@_memoized
+@memoized
 def initial_vector(k: int) -> tuple[int, ...]:
     """Alternating-binomial right-hand side, entry i = 1..k+1:
 
@@ -461,7 +436,7 @@ def initial_vector(k: int) -> tuple[int, ...]:
     )
 
 
-@_memoized
+@memoized
 def counting_row(k: int, n: int) -> Vector:
     """Row u with u . component_matrix(k, n) = (1, ..., 1).
 
@@ -489,12 +464,7 @@ def counting_row(k: int, n: int) -> Vector:
 def shifted_binomial_matrix(k: int, x: int, y: int) -> Matrix:
     """(k+1) x (k+1) matrix with entry (i, j) = binomial(i+j+x+y, i+x)."""
     check_size(2 * k, k)
-    return Matrix(
-        [
-            [binomial(i + j + x + y, i + x) for j in range(1, k + 2)]
-            for i in range(1, k + 2)
-        ]
-    )
+    return _square(k, lambda i, j: binomial(i + j + x + y, i + x))
 
 
 def binomial_det_product(k: int, x: int, y: int) -> Fraction:

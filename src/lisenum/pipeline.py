@@ -32,7 +32,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from . import oracle
-from .exact import binomial, check_size, falling_factorial
+from .exact import binomial, check_size, falling_factorial, memoized
 from .identities import GridSpec, run_convolution_grid, run_moment_identity_grid
 from .identities import run_ones_identity_grid
 from .matrices import (
@@ -87,9 +87,14 @@ def count_formula(n: int, k: int) -> int:
     )
 
 
-# kernel_by_solve's kernels for the life of the process, keyed by k and
-# its type, so 2.0 or True is not served the kernel of 2 or 1
-_kernels: dict[tuple[int, type], list[int]] = {}
+@memoized
+def _solved_kernel(k: int) -> tuple[int, ...]:
+    """``kernel_by_solve``'s kernel as a tuple; ConjectureViolation if
+    the solve is non-integral or negative."""
+    solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
+    if any(x.denominator != 1 or x < 0 for x in solution):
+        raise ConjectureViolation(k, solution)
+    return tuple(int(x) for x in solution)
 
 
 def kernel_by_solve(k: int) -> list[int]:
@@ -99,17 +104,11 @@ def kernel_by_solve(k: int) -> list[int]:
     This is the conjectured description of the kernel; it raises
     ConjectureViolation rather than rounding if the solve is ever
     non-integral or negative, and the verification suites compare it
-    against brute force.  Each k is solved once per process; a
-    violation is not kept, so it raises on every call, and each call
-    returns a fresh list.
+    against brute force.  Each k is solved once per process
+    (``exact.memoized``); a violation is not kept, so it raises on every
+    call, and each call returns a fresh list.
     """
-    key = k, type(k)
-    if key not in _kernels:
-        solution = solve_bareiss(kernel_matrix(k), initial_vector(k))
-        if any(x.denominator != 1 or x < 0 for x in solution):
-            raise ConjectureViolation(k, solution)
-        _kernels[key] = [int(x) for x in solution]
-    return list(_kernels[key])
+    return list(_solved_kernel(k))
 
 
 def _next_column(vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
 """A time cap on every test, so that a fault which spins a loop forever
-fails its test instead of hanging the suite."""
+fails its test instead of hanging the suite, and the fixture that
+empties route 3's kernel memo."""
 
 import signal
 
 import pytest
 
-TIME_CAP_S = 60  # the slowest test, test_out_of_memory_exits_2[argv1], takes about 2-3 s
+from lisenum import pipeline
+
+TIME_CAP_S = 60  # the slowest test, test_out_of_memory_exits_2, takes about 4 s
 
 
 class TimeCapExceeded(BaseException):
@@ -27,3 +30,13 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fresh_kernel_memo():
+    """Route 3's kernel memo, empty when the test starts, so that a kernel
+    solved before is solved again, and emptied when it ends, so that a
+    kernel solved under a patched solver reaches no later test."""
+    pipeline._solved_kernel.cache_clear()
+    yield
+    pipeline._solved_kernel.cache_clear()

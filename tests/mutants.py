@@ -414,31 +414,35 @@ MUTANTS = (
         "vandermonde_chu_check(a, b, x_lo).witness",
         ("tests/test_failure_paths.py::test_convolution_wrong",),
     ),
-    # pipeline: route 3's kernel, solved once per k and handed out as a copy
+    # pipeline: route 3's kernel, solved once per k (exact.memoized) and
+    # handed out as a copy
     Mutant(
         "kernel-memo-returns-its-list", "pipeline.py",
-        "return list(_kernels[key])",
-        "return _kernels[key]",
+        "return list(_solved_kernel(k))",
+        "return _solved_kernel(k)",
         ("tests/test_pipeline.py::test_each_call_returns_a_fresh_kernel",),
     ),
-    Mutant(
-        "kernel-memo-keeps-a-violation", "pipeline.py",
-        "            raise ConjectureViolation(k, solution)\n        _kernels[key] = [int(x) for x in solution]",
-        "            _kernels[key] = [int(x) for x in solution]\n            raise ConjectureViolation(k, solution)\n        _kernels[key] = [int(x) for x in solution]",
-        ("tests/test_pipeline.py::test_a_conjecture_violation_is_not_memoized",),
-    ),
+    # keyed on k's value alone, so True is served the kernel of 1 (an
+    # untyped lru_cache would not do that: it keys a lone int argument by
+    # the int itself and any other lone argument by a 1-tuple)
     Mutant(
         "kernel-memo-untyped", "pipeline.py",
-        "key = k, type(k)",
-        "key = k",
+        "return list(_solved_kernel(k))",
+        "return list(_solved_kernel(int(k)))",
         ("tests/test_pipeline.py::test_kernel_is_solved_once_per_k",),
     ),
     # cost only: every call solves again
     Mutant(
         "kernel-memo-solves-every-call", "pipeline.py",
-        "if key not in _kernels:",
-        "if True:",
+        "return list(_solved_kernel(k))",
+        "return list(_solved_kernel.__wrapped__(k))",
         ("tests/test_pipeline.py::test_kernel_is_solved_once_per_k",),
+    ),
+    Mutant(
+        "solved-kernel-keeps-fractions", "pipeline.py",
+        "return tuple(int(x) for x in solution)",
+        "return tuple(solution)",
+        ("tests/test_matrices.py::test_components_are_ints_for_every_method",),
     ),
     # pipeline: route 3's total, the bijection check, the bounds rule
     Mutant(
@@ -964,18 +968,88 @@ MUTANTS = (
         "    check_size(2 * k, k - 1)\n    num = den = 1",
         ("tests/test_matrices.py::test_det_product_refuses_negative_k",),
     ),
-    # matrices: the constructors' per-process memo
+    # exact: the one memo rule, of the constructors and route 3's kernel
     Mutant(
-        "memo-rebuilds-each-call", "matrices.py",
+        "memo-rebuilds-each-call", "exact.py",
         "        return memo(*args, **kwargs)",
         "        return build(*args, **kwargs)",
         ("tests/test_matrices.py::test_constructors_build_each_value_once",),
     ),
     Mutant(
-        "memo-untyped", "matrices.py",
+        "memo-untyped", "exact.py",
         "lru_cache(maxsize=None, typed=True)",
         "lru_cache(maxsize=None)",
         ("tests/test_matrices.py::test_constructors_build_each_value_once",),
+    ),
+    # a refusal is kept and raised again from the cache, without a rebuild
+    Mutant(
+        "kernel-memo-keeps-a-violation", "exact.py",
+        "    memo = lru_cache(maxsize=None, typed=True)(build)\n\n"
+        "    @wraps(build)\n"
+        "    def memoized(*args, **kwargs):\n"
+        "        return memo(*args, **kwargs)\n",
+        "    def kept(*args, **kwargs):\n"
+        "        try:\n"
+        "            return build(*args, **kwargs)\n"
+        "        except Exception as exc:\n"
+        "            return exc\n"
+        "    memo = lru_cache(maxsize=None, typed=True)(kept)\n\n"
+        "    @wraps(build)\n"
+        "    def memoized(*args, **kwargs):\n"
+        "        value = memo(*args, **kwargs)\n"
+        "        if isinstance(value, Exception):\n"
+        "            raise value\n"
+        "        return value\n",
+        ("tests/test_pipeline.py::test_a_conjecture_violation_is_not_memoized",),
+    ),
+    Mutant(
+        "memo-returns-the-lru-cache", "exact.py",
+        "    return memoized\n",
+        "    return memo\n",
+        ("tests/test_exact.py::test_memoized_is_a_plain_function",),
+    ),
+    Mutant(
+        "memo-cache-methods-swapped", "exact.py",
+        "= memo.cache_clear, memo.cache_info",
+        "= memo.cache_info, memo.cache_clear",
+        ("tests/test_exact.py::test_memoized_exposes_its_cache",),
+    ),
+    # matrices: the one square rule and the entry formulas it is given
+    Mutant(
+        "square-transposed", "matrices.py",
+        "[[entry(i, j) for j in range(1, k + 2)]",
+        "[[entry(j, i) for j in range(1, k + 2)]",
+        ("tests/test_matrices.py::test_kernel_matrix_values",),
+    ),
+    Mutant(
+        "square-one-row-short", "matrices.py",
+        "for j in range(1, k + 2)] for i in range(1, k + 2)])",
+        "for j in range(1, k + 2)] for i in range(1, k + 1)])",
+        ("tests/test_matrices.py::test_transfer_matrix_values",),
+    ),
+    Mutant(
+        "transfer-matrix-transposed", "matrices.py",
+        "lambda i, r: binomial(r + n - 2 * k - i - 1, r - i)",
+        "lambda r, i: binomial(r + n - 2 * k - i - 1, r - i)",
+        ("tests/test_matrices.py::test_transfer_matrix_values",),
+    ),
+    Mutant(
+        "kernel-matrix-offset", "matrices.py",
+        "binomial(i + j - 2 * k - 1, j - 1)",
+        "binomial(i + j - 2 * k, j - 1)",
+        ("tests/test_matrices.py::test_kernel_matrix_values",),
+    ),
+    Mutant(
+        "component-matrix-unsigned", "matrices.py",
+        "lambda i, j: (-1) ** (j - 1) * binomial(n - i - 1, j - 1)",
+        "lambda i, j: binomial(n - i - 1, j - 1)",
+        ("tests/test_matrices.py::test_component_matrix_values",),
+    ),
+    Mutant(
+        "shifted-binomial-lower-on-j", "matrices.py",
+        "lambda i, j: binomial(i + j + x + y, i + x)",
+        "lambda i, j: binomial(i + j + x + y, j + x)",
+        ("tests/test_matrices.py::test_det_product_golden_points",),
     ),
     Mutant(
         "counting-row-drops-pole-factor", "matrices.py",

@@ -15,12 +15,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
 import lisenum
-from lisenum import GridSpec, binomial, cli, identities, pipeline
+from lisenum import GridSpec, binomial, cli, identities, matrices, pipeline
 from lisenum.report import expect, expect_within, failed, skipped
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lisenum"
@@ -142,6 +142,20 @@ def test_the_scan_follows_calls():
     assert found["solve_cramer"] >= {"det_bareiss", "_bareiss_step", "SingularMatrixError"}
     assert "_bareiss_step" in found["det_bareiss"]
     assert "_condense" in found["det_dodgson"]
+
+
+# The five memoized constructors, and kernel_by_solve over its memoized
+# kernel, stay plain functions: the benchmark's tracer times only plain
+# functions, so a bare lru_cache on one would drop it from its span
+MEMOIZED = (
+    matrices.kernel_matrix, matrices.component_matrix, matrices.transfer_matrix,
+    matrices.initial_vector, matrices.counting_row, pipeline.kernel_by_solve,
+)
+
+
+@pytest.mark.parametrize("function", MEMOIZED, ids=lambda f: f.__name__)
+def test_memoized_names_stay_plain_functions(function):
+    assert type(function) is FunctionType
 
 
 def test_all_names_each_public_attribute_once():

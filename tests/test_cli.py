@@ -149,9 +149,7 @@ def test_table_domain_error(capsys):
         ("table", "--k", "3", "--n-from", "6", "--n-to", "9"),
     ],
 )
-def test_kernel_conjecture_violation_exits_2(monkeypatch, capsys, argv):
-    # an empty memo, so the patched solve runs
-    monkeypatch.setattr(pipeline, "_kernels", {})
+def test_kernel_conjecture_violation_exits_2(monkeypatch, capsys, argv, fresh_kernel_memo):
     monkeypatch.setattr(pipeline, "solve_bareiss", lambda a, v: (Fraction(1, 2), Fraction(-1)))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -1,9 +1,10 @@
 """Scalar arithmetic: generalized binomial, falling factorial, printed
-form; and the size rule, which every public (n, k) entry point takes
-from ``exact.check_size``."""
+form; the size rule, which every public (n, k) entry point takes
+from ``exact.check_size``; and the memo rule, ``exact.memoized``."""
 
 import math
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from lisenum import (
     iter_class,
     transfer_matrix,
 )
-from lisenum.exact import integer_rows
+from lisenum.exact import integer_rows, memoized
 from lisenum.pipeline import COMPONENT_METHODS, COUNT_METHODS
 
 
@@ -99,6 +100,63 @@ def test_exact_div():
     assert exact_div(-84, 7) == -12
     with pytest.raises(ValueError):
         exact_div(85, 7)
+
+
+def _recorded():
+    """A memoized builder and the list of the arguments it was built on."""
+    built = []
+
+    @memoized
+    def build(*args):
+        built.append(args)
+        return list(args)
+
+    return build, built
+
+
+def test_memoized_builds_each_typed_argument_once():
+    # two arguments: an untyped lru_cache keys a lone int by the int
+    # itself and any other lone argument by a 1-tuple, so it would keep
+    # 2 and 2.0 apart by accident
+    build, built = _recorded()
+    firsts = (2, 2.0, True, 1)
+    values = [build(x, 0) for x in firsts]
+    assert all(build(x, 0) is v for x, v in zip(firsts, values))
+    # typed: an equal float or bool is built on its own
+    assert [(x, type(x)) for x, _ in built] == [(2, int), (2.0, float), (True, bool), (1, int)]
+    assert build.cache_info().currsize == 4
+
+
+def test_memoized_refusal_raises_on_every_call():
+    calls = []
+
+    @memoized
+    def refuse(x):
+        calls.append(x)
+        raise ValueError(f"refused {x}")
+
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^refused 3$"):
+            refuse(3)
+    assert calls == [3, 3, 3]
+    assert refuse.cache_info().currsize == 0
+
+
+def test_memoized_exposes_its_cache():
+    build, built = _recorded()
+    first = build(5)
+    info = build.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 1, None, 1)
+    build.cache_clear()
+    assert build.cache_info().currsize == 0
+    assert build(5) is not first and built == [(5,), (5,)]
+
+
+def test_memoized_is_a_plain_function():
+    # the benchmark's tracer times only plain functions of the module
+    build, _ = _recorded()
+    assert type(build) is types.FunctionType
+    assert (build.__module__, build.__name__) == (__name__, "build")
 
 
 def test_integer_rows_copies_int_rows():

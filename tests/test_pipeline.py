@@ -80,14 +80,13 @@ def test_each_call_returns_a_fresh_kernel():
     assert kernel_by_solve(3) is not kernel_by_solve(3)
 
 
-def test_kernel_is_solved_once_per_k(monkeypatch):
+def test_kernel_is_solved_once_per_k(monkeypatch, fresh_kernel_memo):
     solves, real = [], pipeline.solve_bareiss
 
     def counted(a, v):
         solves.append(len(v) - 1)
         return real(a, v)
 
-    monkeypatch.setattr(pipeline, "_kernels", {})
     monkeypatch.setattr(pipeline, "solve_bareiss", counted)
     run_suite("all")
     assert solves == list(range(6))
@@ -97,13 +96,12 @@ def test_kernel_is_solved_once_per_k(monkeypatch):
         kernel_by_solve(2.0)
 
 
-def test_a_conjecture_violation_is_not_memoized(monkeypatch):
-    monkeypatch.setattr(pipeline, "_kernels", {})
+def test_a_conjecture_violation_is_not_memoized(monkeypatch, fresh_kernel_memo):
     monkeypatch.setattr(pipeline, "solve_bareiss", lambda a, v: (Fraction(1, 2), Fraction(-1)))
     for _ in range(3):
         with pytest.raises(ConjectureViolation, match=r"^kernel solve at k=3 .*: \[1/2, -1\]$"):
             kernel_by_solve(3)
-    assert pipeline._kernels == {}
+    assert pipeline._solved_kernel.cache_info().currsize == 0
 
 
 def test_kernels_match_oracle():
@@ -169,15 +167,15 @@ def _refuse(name):
 
 def _patch_out(monkeypatch, *names):
     """Make every named solver raise, in matrices and where pipeline
-    imported it by name, with an empty kernel memo, so that a kernel
-    solved before is solved again."""
-    monkeypatch.setattr(pipeline, "_kernels", {})
+    imported it by name; its callers empty the kernel memo
+    (``fresh_kernel_memo``), so that a kernel solved before is solved
+    again."""
     for name in names:
         for module in (matrices, pipeline):
             monkeypatch.setattr(module, name, _refuse(name))
 
 
-def test_kernel_route_computes_no_determinant(monkeypatch):
+def test_kernel_route_computes_no_determinant(monkeypatch, fresh_kernel_memo):
     # route 3 solves by one elimination; route 4's solver and the
     # determinant engine behind it are never entered
     _patch_out(monkeypatch, "solve_cramer", "det_bareiss")
@@ -187,7 +185,7 @@ def test_kernel_route_computes_no_determinant(monkeypatch):
     assert kernel_by_solve(5) == KERNELS[5]
 
 
-def test_cramer_route_uses_no_elimination_solve(monkeypatch):
+def test_cramer_route_uses_no_elimination_solve(monkeypatch, fresh_kernel_memo):
     _patch_out(monkeypatch, "solve_bareiss")
     assert count(60, 12, "cramer") == count_formula(60, 12)
     assert components(9, 3, "cramer") == [191, 87, 30, 6]
